@@ -9,22 +9,25 @@ A validated parameter tuple is classified from its Euclidean table alone:
 * ``OracleOnly``     -- the standing hypothesis fails or k < 3, so only the
   brute-force oracle facts (type, Frobenius number) are reported.
 
-Symmetric and almost-symmetric semigroups belong to closed-form families,
-each fingerprinted by the shape of the two table rows around the pivot.  The
-family id strings (``"Thm4.1-case1"`` .. ``"Thm5.4-(v)"``) are the stable
-output vocabulary of this package: downstream consumers match on them, so
-they are data, not prose.
+Symmetric and almost-symmetric semigroups belong to thirteen closed-form
+families.  Each family is one theorem, held as one :class:`Family` record in
+the ordered registry :data:`FAMILIES`: its fingerprint on the two table rows
+around the pivot, its type and Frobenius formulas, its stated side
+conditions, its (a, d, c) synthesis and, for almost-symmetric families, the
+equation that pins the column count ``p``.  The family id strings are the
+stable output vocabulary of this package: downstream consumers match on
+them, so they are data, not prose.
 
 Two routes produce a classification:
 
 * :func:`classify` -- the full route: build the table, compute the
   pseudo-Frobenius families, run the pairing check, then match the pivot
   rows against each family fingerprint.
-* :func:`fast_path` -- the quadratic route: for each candidate family,
-  solve its quadratic (or linear) formula for the column count ``p`` in
-  exact integer arithmetic, back-solve ``sigma`` and ``r``, and accept only
-  a perfect-square discriminant with every family constraint and the exact
-  ``c``-identity satisfied.  The two routes agree everywhere (tested); the
+* :func:`fast_path` -- the quadratic route: for each almost-symmetric
+  family, take ``p`` from its quadratic (or linear) equation in exact
+  integer arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``,
+  and accept only when the family's side conditions hold and its synthesis
+  reproduces ``(a, d, c)``.  The two routes agree everywhere (tested); the
   fast route exists because it needs only a handful of integer operations.
 
 Both routes classify the *raw* presentation: parameters that were rewritten
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import oracle
 from .core import AagParams, validate_params
 from .errors import AmbiguousFastPath, FamilyConstraintViolated, MalformedPf
-from .euclid import EuclidTable, build_table
+from .euclid import EuclidRow, EuclidTable, build_table
 from .pseudofrob import pf_tilde
 from .staircase import frobenius
 
@@ -48,25 +52,6 @@ VERDICT_SYMMETRIC = "Symmetric"
 VERDICT_ALMOST_SYMMETRIC = "AlmostSymmetric"
 VERDICT_NEITHER = "NeitherSpecial"
 VERDICT_ORACLE_ONLY = "OracleOnly"
-
-SYMMETRIC_FAMILIES = (
-    "Thm4.1-case1",
-    "Thm4.1-case2",
-    "Thm4.1-case3",
-    "Thm4.1-case4",
-)
-ALMOST_SYMMETRIC_FAMILIES = (
-    "Thm5.1",
-    "Thm5.2",
-    "Thm5.3-(i)",
-    "Thm5.3-(ii)",
-    "Thm5.4-(i)",
-    "Thm5.4-(ii)",
-    "Thm5.4-(iii)",
-    "Thm5.4-(iv)",
-    "Thm5.4-(v)",
-)
-ALL_FAMILIES = SYMMETRIC_FAMILIES + ALMOST_SYMMETRIC_FAMILIES
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,192 +92,485 @@ def nari_check(pf_numbers: list[int], frob: int) -> bool:
 
 
 def _raw_presentation(p: AagParams) -> AagParams:
-    """Undo the d < 0, h = 1 rewrite: families are fingerprinted on the raw tuple."""
+    """Undo the d < 0, h = 1 rewrite: families are fingerprinted on the raw tuple.
+
+    The rewrite lists the same generators from the other end, and that set
+    was already validated, so nothing is checked again.
+    """
     if not p.normalized:
         return p
-    return validate_params(
-        p.a + p.k * p.d, -p.d, p.h, p.k, p.c, normalize=False
+    return AagParams(
+        a=p.a + p.k * p.d,
+        d=-p.d,
+        h=p.h,
+        k=p.k,
+        c=p.c,
+        generators=(*reversed(p.arithmetic_part()), p.c),
     )
 
 
 # ---------------------------------------------------------------------------
-# Family fingerprints: match the two rows around the pivot.
+# The family registry.
 # ---------------------------------------------------------------------------
 
+#: A stated side condition: None when it holds for the variables, else the
+#: message that ``family_generate`` raises.
+Condition = Callable[..., str | None]
 
-def _match_family(family: str, p: AagParams, t: EuclidTable) -> dict[str, int] | None:
-    """Return the solved family parameters if the pivot rows fit ``family``."""
-    k, h = p.k, p.h
-    piv, nxt = t.pivot, t.after_pivot
-    drop = piv.s - nxt.s
 
-    if family == "Thm4.1-case1":
-        if nxt.s == 0 and piv.rho == 2:
-            return {
-                "sigma": piv.sigma,
-                "p": piv.p,
-                "p_prime": nxt.p,
-                "r": piv.r,
-                "r_hat": nxt.r,
-            }
-    elif family == "Thm4.1-case2":
-        if (
-            piv.rho == 2
-            and nxt.s > 0
-            and nxt.rho == 0
-            and nxt.r_prime == 0
+@dataclass(frozen=True)
+class Family:
+    """One classification theorem.
+
+    ``fits`` and ``read`` take the pivot row, the row after it, ``h`` and
+    ``k`` (``read`` only the rows); ``read`` returns the values of ``keys``.
+    Every other callable takes the family's variables as keywords and
+    ignores the rest: the presentation ``a, d, h, k, c`` with
+    ``a1 = ha + d``, ``a2 = ha + 2d``, ``ak = ha + kd``, and the family
+    parameters among ``l, sigma, sigma_prime, p, p_prime, r, r_hat``.
+
+    The stated side conditions are split into ``requires`` (on ``h``, ``k``
+    and, for one family, ``d``: which presentations the family covers) and
+    ``conditions`` (on the family parameters); ``family_generate`` checks
+    them in that order.  ``synthesize`` gives the member's ``(a, d, c)``:
+    ``a`` is affine in ``sigma`` and ``d`` is affine in ``r``, which is what
+    lets the fast path back-solve both.  ``solve`` (almost-symmetric
+    families only) lists the candidate values of ``p``, with ``l`` where the
+    family has one, for a presentation; ``fast_guard`` is an extra
+    fast-path-only acceptance test.
+    """
+
+    id: str
+    symmetric: bool
+    keys: tuple[str, ...]
+    fits: Callable[[EuclidRow, EuclidRow, int, int], bool]
+    read: Callable[[EuclidRow, EuclidRow], tuple[int, ...]]
+    t_formula: Callable[..., int]
+    f_formula: Callable[..., int]
+    requires: tuple[Condition, ...]
+    conditions: tuple[Condition, ...]
+    synthesize: Callable[..., tuple[int, int, int]]
+    h_default: int | None = 1
+    solve: Callable[..., list[dict[str, int]]] | None = None
+    fast_guard: Callable[..., bool] | None = None
+
+
+def _integer_roots(kc: int, b: int, constant: int) -> list[int]:
+    """Integer roots of kc*p^2 - b*p - constant = 0 with perfect-square test.
+
+    Returns the integer roots among both branches (the written "+" branch
+    first).  A negative or non-square discriminant yields no roots.
+    """
+    disc = b * b + 4 * kc * constant
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    out = []
+    for numerator in (b + root, b - root):
+        if numerator % (2 * kc) == 0:
+            value = numerator // (2 * kc)
+            if value not in out:
+                out.append(value)
+    return out
+
+
+def _exact(numerator: int, denominator: int) -> list[int]:
+    """``[numerator / denominator]`` when the division is exact, else ``[]``."""
+    if denominator == 0 or numerator % denominator:
+        return []
+    return [numerator // denominator]
+
+
+_K3 = lambda k, **_: None if k >= 3 else f"requires k >= 3, got {k}"
+_H1 = lambda h, **_: None if h == 1 else "requires h = 1"
+_H_POSITIVE = lambda h, **_: None if h >= 1 else f"requires h >= 1, got {h}"
+_SIGMA1 = lambda sigma, **_: None if sigma >= 1 else f"sigma must be >= 1, got {sigma}"
+_SIGMA2 = lambda sigma, **_: None if sigma >= 2 else f"sigma must be >= 2, got {sigma}"
+_P2 = lambda p, **_: None if p >= 2 else f"p must be >= 2, got {p}"
+_P_ORDERED = lambda p, p_prime, **_: None if p_prime > p > 0 else "need p_prime > p > 0"
+_R_SHIFTED = lambda r, h, sigma, **_: (
+    None if r + h * (sigma + 1) > 0 else "need r + h*(sigma+1) > 0"
+)
+_R_BELOW_H = lambda r, h, **_: None if r < -h else f"need r < -h, got {r}"
+
+FAMILIES: tuple[Family, ...] = (
+    Family(
+        id="Thm4.1-case1",
+        symmetric=True,
+        keys=("sigma", "p", "p_prime", "r", "r_hat"),
+        fits=lambda piv, nxt, h, k: nxt.s == 0 and piv.rho == 2,
+        read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r, nxt.r),
+        t_formula=lambda **_: 1,
+        f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: a1 + sigma * ak + c * (p_prime - 1) - a,
+        requires=(_K3,),
+        conditions=(
+            _SIGMA1,
+            lambda p, p_prime, **_: (
+                None if 1 <= p < p_prime else f"need 1 <= p < p_prime, got {p}, {p_prime}"
+            ),
+            lambda r_hat, **_: None if r_hat < -1 else f"r_hat must be < -1, got {r_hat}",
+            lambda p_prime, r_hat, **_: (
+                None if math.gcd(p_prime, r_hat) == 1 else "gcd(p_prime, r_hat) must be 1"
+            ),
+            lambda r, h, sigma, **_: (
+                None if r + h * sigma > 0 else f"need r + h*sigma > 0, got {r + h * sigma}"
+            ),
+        ),
+        synthesize=lambda k, sigma, p, p_prime, r, r_hat, **_: (
+            (sigma * k + 2) * p_prime,
+            p_prime * r - p * r_hat,
+            -(sigma * k + 2) * r_hat,
+        ),
+    ),
+    Family(
+        id="Thm4.1-case2",
+        symmetric=True,
+        keys=("sigma", "sigma_prime", "p", "p_prime", "r"),
+        fits=lambda piv, nxt, h, k: (
+            piv.rho == 2 and nxt.s > 0 and nxt.rho == 0 and nxt.r_prime == 0
             and piv.sigma >= nxt.sigma >= 2
-        ):
-            return {
-                "sigma": piv.sigma,
-                "sigma_prime": nxt.sigma,
-                "p": piv.p,
-                "p_prime": nxt.p,
-                "r": piv.r,
-            }
-    elif family == "Thm4.1-case3":
-        if piv.rho == 2 and drop == 1 and nxt.r_prime == 0:
-            return {
-                "sigma": piv.sigma,
-                "p": piv.p,
-                "p_prime": nxt.p,
-                "r": piv.r,
-            }
-    elif family == "Thm4.1-case4":
-        if piv.rho == 1 and piv.r_prime == h and nxt.s == k - 1 and nxt.r_prime < 0:
-            return {
-                "sigma": piv.sigma,
-                "p": piv.p,
-                "p_prime": nxt.p,
-                "r_hat": nxt.r,
-            }
-    elif family == "Thm5.1":
-        if (
-            h == 1
-            and k % 2 == 1
-            and piv.s == k + 1
-            and nxt.s == k
-            and piv.p == 1
-            and nxt.p == 2
-            and piv.r >= 0
-            and nxt.r == -2
-        ):
-            return {}
-    elif family == "Thm5.2":
-        if (
-            h >= 2
-            and piv.rho == 1
-            and piv.r_prime == h
-            and piv.p == 1
-            and nxt.rho == 0
-            and nxt.sigma == piv.sigma
-            and nxt.r_prime == -1
-        ):
-            return {"sigma": piv.sigma, "p": nxt.p}
-    elif family == "Thm5.3-(i)":
-        if (
-            h == 1
-            and piv.rho == 2
-            and piv.p == 1
-            and piv.sigma >= 2
-            and nxt.r_prime == 0
-            and nxt.rho >= 1
-            and nxt.sigma == piv.sigma - 1
-        ):
-            return {"l": nxt.rho, "sigma": piv.sigma, "p": nxt.p, "r": piv.r}
-    elif family == "Thm5.3-(ii)":
-        if piv.rho == 2 and piv.p == 1 and drop == 1 and nxt.r_prime == -1:
-            return {"sigma": piv.sigma, "p": nxt.p, "r": piv.r}
-    elif family == "Thm5.4-(i)":
-        if (
-            h == 1
-            and piv.rho >= 3
-            and piv.r_prime == 1
-            and nxt.s == piv.rho - 2
-            and nxt.p == piv.p + 1
-            and nxt.r_prime < 0
-        ):
-            return {"l": piv.rho - 2, "sigma": piv.sigma, "p": nxt.p, "r": nxt.r}
-    elif family == "Thm5.4-(ii)":
-        if (
-            piv.rho == 0
-            and piv.r_prime == 1
-            and piv.sigma >= 2
-            and nxt.s == k - 2
-            and nxt.p == piv.p + 1
-            and nxt.r_prime < 0
-        ):
-            return {"sigma": piv.sigma, "p": nxt.p, "r": nxt.r}
-    elif family == "Thm5.4-(iii)":
-        if (
-            piv.rho == 1
-            and piv.r_prime == h + 1
-            and nxt.s == k - 1
-            and nxt.p == piv.p + 1
-            and nxt.r_prime < 0
-        ):
-            return {"sigma": piv.sigma, "p": nxt.p, "r": nxt.r}
-    elif family == "Thm5.4-(iv)":
-        if (
-            h == 1
-            and piv.s == k + 1
-            and piv.r == -1
-            and nxt.s == k
-            and nxt.p == piv.p + 1
-            and nxt.r_prime < 0
-        ):
-            return {"p": piv.p, "r": nxt.r}
-    elif family == "Thm5.4-(v)":
-        if (
-            h == 1
-            and piv.rho == 1
-            and piv.r_prime == 1
-            and piv.sigma >= 2
-            and nxt.s == 2 * k - 1
-            and nxt.p == piv.p + 1
-            and nxt.r_prime < 0
-        ):
-            return {"sigma": piv.sigma, "p": nxt.p, "r": nxt.r}
-    else:
-        raise FamilyConstraintViolated(f"unknown family id {family!r}")
-    return None
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.sigma, piv.p, nxt.p, piv.r),
+        t_formula=lambda **_: 1,
+        f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
+            a1 + sigma * ak + c * (p_prime - p - 1) - a
+        ),
+        requires=(_K3,),
+        conditions=(
+            lambda sigma, sigma_prime, **_: (
+                None if sigma >= sigma_prime >= 2 else "need sigma >= sigma_prime >= 2"
+            ),
+            _P_ORDERED,
+            _R_SHIFTED,
+        ),
+        synthesize=lambda h, k, sigma, sigma_prime, p, p_prime, r, **_: (
+            (sigma * k + 2) * p_prime - sigma_prime * k * p,
+            p_prime * r + p * h * sigma_prime,
+            sigma_prime * k * r + (sigma * k + 2) * sigma_prime * h,
+        ),
+    ),
+    Family(
+        id="Thm4.1-case3",
+        symmetric=True,
+        keys=("sigma", "p", "p_prime", "r"),
+        fits=lambda piv, nxt, h, k: piv.rho == 2 and piv.s - nxt.s == 1 and nxt.r_prime == 0,
+        read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r),
+        t_formula=lambda **_: 1,
+        f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
+            a1 + sigma * ak + c * (p_prime - p - 1) - a
+        ),
+        requires=(_K3,),
+        conditions=(_SIGMA1, _P_ORDERED, _R_SHIFTED),
+        synthesize=lambda h, k, sigma, p, p_prime, r, **_: (
+            (sigma * k + 2) * p_prime - (sigma * k + 1) * p,
+            p_prime * r + p * h * (sigma + 1),
+            (sigma * k + 1) * r + (sigma * k + 2) * (sigma + 1) * h,
+        ),
+    ),
+    Family(
+        id="Thm4.1-case4",
+        symmetric=True,
+        keys=("sigma", "p", "p_prime", "r_hat"),
+        fits=lambda piv, nxt, h, k: (
+            piv.rho == 1 and piv.r_prime == h and nxt.s == k - 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, nxt.r),
+        t_formula=lambda **_: 1,
+        f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: (
+            a1 + (sigma - 1) * ak + c * (p_prime - 1) - a
+        ),
+        requires=(_K3,),
+        conditions=(
+            _SIGMA1,
+            _P_ORDERED,
+            lambda r_hat, h, **_: None if r_hat < -h else f"need r_hat < -h, got {r_hat}",
+        ),
+        synthesize=lambda h, k, sigma, p, p_prime, r_hat, **_: (
+            (sigma * k + 1) * p_prime - (k - 1) * p,
+            -p_prime * h * sigma - p * r_hat,
+            -(k - 1) * h * sigma - (sigma * k + 1) * r_hat,
+        ),
+    ),
+    Family(
+        # F = k*d; (a, d, c) pins the member, there is nothing to solve.
+        id="Thm5.1",
+        symmetric=False,
+        keys=(),
+        fits=lambda piv, nxt, h, k: (
+            h == 1 and k % 2 == 1 and piv.s == k + 1 and nxt.s == k
+            and piv.p == 1 and nxt.p == 2 and piv.r >= 0 and nxt.r == -2
+        ),
+        read=lambda piv, nxt: (),
+        t_formula=lambda k, **_: k + 1,
+        f_formula=lambda k, d, **_: k * d,
+        requires=(
+            _H1,
+            lambda k, **_: None if k >= 3 and k % 2 == 1 else f"k must be odd and >= 3, got {k}",
+            lambda d, **_: (
+                None if d >= 2 and d % 2 == 0 else f"d must be a positive even number, got {d}"
+            ),
+        ),
+        conditions=(),
+        synthesize=lambda k, d, **_: (k + 2, d, k + 2 + (d // 2) * k),
+        solve=lambda **_: [{}],
+    ),
+    Family(
+        # F = 3a1 - 2a2 - ak; c and d together pin p.
+        id="Thm5.2",
+        symmetric=False,
+        keys=("sigma", "p"),
+        fits=lambda piv, nxt, h, k: (
+            h >= 2 and piv.rho == 1 and piv.r_prime == h and piv.p == 1
+            and nxt.rho == 0 and nxt.sigma == piv.sigma and nxt.r_prime == -1
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.p),
+        t_formula=lambda k, **_: k + 1,
+        f_formula=lambda a1, a2, ak, **_: 3 * a1 - 2 * a2 - ak,
+        requires=(lambda h, **_: None if h >= 2 else f"requires h >= 2, got {h}", _K3),
+        conditions=(_SIGMA1, _P2),
+        synthesize=lambda h, k, sigma, p, **_: (
+            (sigma * k + 1) * p - sigma * k,
+            1 - h * sigma * (p - 1),
+            h * sigma + sigma * k + 1,
+        ),
+        h_default=None,
+        solve=lambda d, h, k, c, **_: [
+            {"p": 1 + q} for q in _exact((1 - d) * (h + k), h * (c - 1))
+        ],
+    ),
+    Family(
+        id="Thm5.3-(i)",
+        symmetric=False,
+        keys=("l", "sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            h == 1 and piv.rho == 2 and piv.p == 1 and piv.sigma >= 2
+            and nxt.r_prime == 0 and nxt.rho >= 1 and nxt.sigma == piv.sigma - 1
+        ),
+        read=lambda piv, nxt: (nxt.rho, piv.sigma, nxt.p, piv.r),
+        t_formula=lambda k, l, **_: k - l + 1,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
+        requires=(_H1, _K3),
+        conditions=(
+            lambda l, k, **_: None if 1 <= l <= k - 1 else f"need 1 <= l <= k-1, got l={l}",
+            lambda sigma, p, **_: None if sigma >= 2 and p >= 2 else "need sigma >= 2 and p >= 2",
+            lambda r, sigma, **_: None if r > -(sigma + 1) else f"need r > -(sigma+1), got {r}",
+        ),
+        synthesize=lambda k, l, sigma, p, r, **_: (
+            (sigma * k + 2) * p - ((sigma - 1) * k + l),
+            p * r + sigma,
+            ((sigma - 1) * k + l) * r + (sigma * k + 2) * sigma,
+        ),
+        solve=lambda a, d, k, c, ak, **_: [
+            {"l": l, "p": p}
+            for l in range(1, k)
+            for p in _integer_roots(
+                k * c, k * (c + a + l * d - ak) - 2 * ak, ak * (a + l) - k * (a + l * d)
+            )
+        ],
+    ),
+    Family(
+        # The two-column family with t = 2.
+        id="Thm5.3-(ii)",
+        symmetric=False,
+        keys=("sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            piv.rho == 2 and piv.p == 1 and piv.s - nxt.s == 1 and nxt.r_prime == -1
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.p, piv.r),
+        t_formula=lambda **_: 2,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
+        requires=(_H_POSITIVE, _K3),
+        conditions=(
+            lambda sigma, p, **_: None if sigma >= 1 and p >= 2 else "need sigma >= 1 and p >= 2",
+            lambda r, h, sigma, **_: (
+                None if r > -h * (sigma + 1) - 1 else f"need r > -h*(sigma+1)-1, got {r}"
+            ),
+        ),
+        synthesize=lambda h, k, sigma, p, r, **_: (
+            (sigma * k + 2) * p - (sigma * k + 1),
+            p * r + h * (sigma + 1) + 1,
+            (sigma * k + 1) * r + (sigma * k + 2) * (h * (sigma + 1) + 1),
+        ),
+        h_default=None,
+        solve=lambda a, k, c, a1, ak, **_: [
+            {"p": p}
+            for p in _integer_roots(k * c, k * (c + a + a1) - 2 * ak, ak * (a + 1) - k * (a + a1))
+        ],
+        # Stricter than the stated r > -h(sigma+1)-1: the fast path has no
+        # table, and members with r < -h*sigma violate the pivot hypothesis.
+        fast_guard=lambda r, h, sigma, **_: r >= -h * sigma,
+    ),
+    Family(
+        id="Thm5.4-(i)",
+        symmetric=False,
+        keys=("l", "sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            h == 1 and piv.rho >= 3 and piv.r_prime == 1 and nxt.s == piv.rho - 2
+            and nxt.p == piv.p + 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.rho - 2, piv.sigma, nxt.p, nxt.r),
+        t_formula=lambda l, **_: l + 1,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 1) * c - a,
+        requires=(_H1, lambda k, **_: None if k >= 4 else f"requires k >= 4, got {k}"),
+        conditions=(
+            _SIGMA1,
+            lambda l, k, **_: None if 1 <= l <= k - 3 else f"need 1 <= l <= k-3, got l={l}",
+            _P2,
+            lambda r, **_: None if r <= -2 else f"need r <= -2, got {r}",
+        ),
+        synthesize=lambda k, l, sigma, p, r, **_: (
+            (sigma * k + l + 2) * p - l * (p - 1),
+            -p * sigma - (p - 1) * r,
+            -l * sigma - (sigma * k + l + 2) * r,
+        ),
+        solve=lambda a, d, k, c, ak, **_: [
+            {"l": l, "p": p}
+            for l in range(1, k - 2)
+            for p in _integer_roots(k * c, k * (c + (l + 2) * d) - 2 * ak, ak * (a - l))
+        ],
+    ),
+    Family(
+        id="Thm5.4-(ii)",
+        symmetric=False,
+        keys=("sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            piv.rho == 0 and piv.r_prime == 1 and piv.sigma >= 2 and nxt.s == k - 2
+            and nxt.p == piv.p + 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
+        t_formula=lambda k, **_: k - 1,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
+        requires=(_H_POSITIVE, _K3),
+        conditions=(_SIGMA2, _P2, _R_BELOW_H),
+        synthesize=lambda h, k, sigma, p, r, **_: (
+            sigma * k * p - (k - 2) * (p - 1),
+            (1 - h * sigma) * p - (p - 1) * r,
+            (k - 2) * (1 - h * sigma) - sigma * k * r,
+        ),
+        h_default=None,
+        solve=lambda a, k, c, ak, **_: [
+            {"p": p} for p in _integer_roots(k * c, k * (c - a + ak) - 2 * ak, ak * (a - k + 2))
+        ],
+    ),
+    Family(
+        id="Thm5.4-(iii)",
+        symmetric=False,
+        keys=("sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            piv.rho == 1 and piv.r_prime == h + 1 and nxt.s == k - 1
+            and nxt.p == piv.p + 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
+        t_formula=lambda k, **_: k,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
+        requires=(_H_POSITIVE, _K3),
+        conditions=(_SIGMA1, _P2, _R_BELOW_H),
+        synthesize=lambda h, k, sigma, p, r, **_: (
+            (sigma * k + 1) * p - (k - 1) * (p - 1),
+            (1 - h * sigma) * p - (p - 1) * r,
+            (k - 1) * (1 - h * sigma) - (sigma * k + 1) * r,
+        ),
+        h_default=None,
+        solve=lambda a, d, k, c, ak, **_: [
+            {"p": p}
+            for p in _integer_roots(k * c, k * (c + d - a + ak) - 2 * ak, ak * (a - k + 1))
+        ],
+    ),
+    Family(
+        # a alone pins p.
+        id="Thm5.4-(iv)",
+        symmetric=False,
+        keys=("p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            h == 1 and piv.s == k + 1 and piv.r == -1 and nxt.s == k
+            and nxt.p == piv.p + 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.p, nxt.r),
+        t_formula=lambda k, **_: k + 1,
+        f_formula=lambda a, c, p, **_: p * c - a,
+        requires=(_H1, _K3),
+        conditions=(
+            lambda p, **_: None if p >= 1 else f"p must be >= 1, got {p}",
+            lambda r, **_: None if r < -1 else f"need r < -1, got {r}",
+        ),
+        synthesize=lambda k, p, r, **_: (k + p + 1, -(p + 1) - p * r, -k - (k + 1) * r),
+        solve=lambda a, k, **_: [{"p": a - k - 1}],
+    ),
+    Family(
+        id="Thm5.4-(v)",
+        symmetric=False,
+        keys=("sigma", "p", "r"),
+        fits=lambda piv, nxt, h, k: (
+            h == 1 and piv.rho == 1 and piv.r_prime == 1 and piv.sigma >= 2
+            and nxt.s == 2 * k - 1 and nxt.p == piv.p + 1 and nxt.r_prime < 0
+        ),
+        read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
+        t_formula=lambda **_: 2,
+        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 2) * ak + (p - 1) * c - a,
+        requires=(_H1, _K3),
+        conditions=(
+            _SIGMA2,
+            _P2,
+            lambda r, **_: None if r <= -3 else f"need r <= -3, got {r}",
+        ),
+        synthesize=lambda k, sigma, p, r, **_: (
+            (sigma * k + 1) * p - (2 * k - 1) * (p - 1),
+            -p * sigma - (p - 1) * r,
+            -sigma * (2 * k - 1) - (sigma * k + 1) * r,
+        ),
+        solve=lambda a, d, k, c, ak, **_: [
+            {"p": p}
+            for p in _integer_roots(k * c, k * (c + d + 2 * ak) - 2 * ak, ak * (a - 2 * k + 1))
+        ],
+    ),
+)
+
+_BY_ID = {fam.id: fam for fam in FAMILIES}
+SYMMETRIC_FAMILIES = tuple(fam.id for fam in FAMILIES if fam.symmetric)
+ALMOST_SYMMETRIC_FAMILIES = tuple(fam.id for fam in FAMILIES if not fam.symmetric)
+ALL_FAMILIES = tuple(_BY_ID)
+
+
+def _family(family: str) -> Family:
+    try:
+        return _BY_ID[family]
+    except KeyError:
+        raise FamilyConstraintViolated(f"unknown family id {family!r}") from None
+
+
+def _variables(p: AagParams) -> dict[str, int]:
+    """The presentation variables every family formula may read."""
+    a, d, h, k = p.a, p.d, p.h, p.k
+    return {
+        "a": a,
+        "d": d,
+        "h": h,
+        "k": k,
+        "c": p.c,
+        "a1": h * a + d,
+        "a2": h * a + 2 * d,
+        "ak": h * a + k * d,
+    }
 
 
 def match_families(
     p: AagParams, t: EuclidTable, candidates: tuple[str, ...]
 ) -> list[tuple[str, dict[str, int]]]:
     """All fingerprint matches among ``candidates``, in canonical order."""
+    piv, nxt = t.pivot, t.after_pivot
     hits = []
     for family in candidates:
-        solved = _match_family(family, p, t)
-        if solved is not None:
-            hits.append((family, solved))
+        fam = _family(family)
+        if fam.fits(piv, nxt, p.h, p.k):
+            hits.append((family, dict(zip(fam.keys, fam.read(piv, nxt)))))
     return hits
-
-
-# ---------------------------------------------------------------------------
-# Family metadata: type and Frobenius formulas.
-# ---------------------------------------------------------------------------
 
 
 def family_type(family: str, solved: dict[str, int], p: AagParams) -> int:
     """The family's claimed type, from its closed-form t-formula."""
-    k = p.k
-    if family in SYMMETRIC_FAMILIES:
-        return 1
-    if family in ("Thm5.1", "Thm5.2", "Thm5.4-(iv)"):
-        return k + 1
-    if family == "Thm5.3-(i)":
-        return k - solved["l"] + 1
-    if family in ("Thm5.3-(ii)", "Thm5.4-(v)"):
-        return 2
-    if family == "Thm5.4-(i)":
-        return solved["l"] + 1
-    if family == "Thm5.4-(ii)":
-        return k - 1
-    if family == "Thm5.4-(iii)":
-        return k
-    raise FamilyConstraintViolated(f"unknown family id {family!r}")
+    return _family(family).t_formula(**{**solved, **_variables(p)})
 
 
 def family_frobenius(family: str, solved: dict[str, int], p: AagParams) -> int:
@@ -302,46 +580,7 @@ def family_frobenius(family: str, solved: dict[str, int], p: AagParams) -> int:
     monomial minus ``a`` (with the two special literal forms ``F = k d`` and
     ``F = 3 a_1 - 2 a_2 - a_k`` kept as stated for their families).
     """
-    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
-    a1 = h * a + d
-    a2 = h * a + 2 * d
-    ak = h * a + k * d
-    if family == "Thm4.1-case1":
-        return a1 + solved["sigma"] * ak + c * (solved["p_prime"] - 1) - a
-    if family in ("Thm4.1-case2", "Thm4.1-case3"):
-        return (
-            a1
-            + solved["sigma"] * ak
-            + c * (solved["p_prime"] - solved["p"] - 1)
-            - a
-        )
-    if family == "Thm4.1-case4":
-        return a1 + (solved["sigma"] - 1) * ak + c * (solved["p_prime"] - 1) - a
-    if family == "Thm5.1":
-        return k * d
-    if family == "Thm5.2":
-        return 3 * a1 - 2 * a2 - ak
-    if family in ("Thm5.3-(i)", "Thm5.3-(ii)"):
-        return a1 + solved["sigma"] * ak + (solved["p"] - 2) * c - a
-    if family == "Thm5.4-(i)":
-        return a1 + solved["sigma"] * ak + (solved["p"] - 1) * c - a
-    if family in ("Thm5.4-(ii)", "Thm5.4-(iii)"):
-        return a1 + (solved["sigma"] - 1) * ak + (solved["p"] - 1) * c - a
-    if family == "Thm5.4-(iv)":
-        return solved["p"] * c - a
-    if family == "Thm5.4-(v)":
-        return a1 + (solved["sigma"] - 2) * ak + (solved["p"] - 1) * c - a
-    raise FamilyConstraintViolated(f"unknown family id {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# Family synthesis: (a, d, c) from family parameters.
-# ---------------------------------------------------------------------------
-
-
-def _require(condition: bool, family: str, message: str) -> None:
-    if not condition:
-        raise FamilyConstraintViolated(f"{family}: {message}")
+    return _family(family).f_formula(**{**solved, **_variables(p)})
 
 
 def family_generate(family: str, params: dict[str, int]) -> AagParams:
@@ -359,153 +598,14 @@ def family_generate(family: str, params: dict[str, int]) -> AagParams:
     letter conditions do not always force it when h >= 2, and the claims
     genuinely fail on some tuples outside it).
     """
-    g = params.get
-
-    if family == "Thm4.1-case1":
-        h, k = g("h", 1), params["k"]
-        sigma, pp, p_prime = params["sigma"], params["p"], params["p_prime"]
-        r, r_hat = params["r"], params["r_hat"]
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(1 <= pp < p_prime, family, f"need 1 <= p < p_prime, got {pp}, {p_prime}")
-        _require(r_hat < -1, family, f"r_hat must be < -1, got {r_hat}")
-        _require(math.gcd(p_prime, r_hat) == 1, family, "gcd(p_prime, r_hat) must be 1")
-        _require(r + h * sigma > 0, family, f"need r + h*sigma > 0, got {r + h * sigma}")
-        a = (sigma * k + 2) * p_prime
-        d = p_prime * r - pp * r_hat
-        c = -(sigma * k + 2) * r_hat
-    elif family == "Thm4.1-case2":
-        h, k = g("h", 1), params["k"]
-        sigma, sigma_prime = params["sigma"], params["sigma_prime"]
-        pp, p_prime, r = params["p"], params["p_prime"], params["r"]
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= sigma_prime >= 2, family, "need sigma >= sigma_prime >= 2")
-        _require(p_prime > pp > 0, family, "need p_prime > p > 0")
-        _require(r + h * (sigma + 1) > 0, family, "need r + h*(sigma+1) > 0")
-        a = (sigma * k + 2) * p_prime - sigma_prime * k * pp
-        d = p_prime * r + pp * h * sigma_prime
-        c = sigma_prime * k * r + (sigma * k + 2) * sigma_prime * h
-    elif family == "Thm4.1-case3":
-        h, k = g("h", 1), params["k"]
-        sigma, pp, p_prime, r = params["sigma"], params["p"], params["p_prime"], params["r"]
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(p_prime > pp > 0, family, "need p_prime > p > 0")
-        _require(r + h * (sigma + 1) > 0, family, "need r + h*(sigma+1) > 0")
-        a = (sigma * k + 2) * p_prime - (sigma * k + 1) * pp
-        d = p_prime * r + pp * h * (sigma + 1)
-        c = (sigma * k + 1) * r + (sigma * k + 2) * (sigma + 1) * h
-    elif family == "Thm4.1-case4":
-        h, k = g("h", 1), params["k"]
-        sigma, pp, p_prime, r_hat = params["sigma"], params["p"], params["p_prime"], params["r_hat"]
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(p_prime > pp > 0, family, "need p_prime > p > 0")
-        _require(r_hat < -h, family, f"need r_hat < -h, got {r_hat}")
-        a = (sigma * k + 1) * p_prime - (k - 1) * pp
-        d = -p_prime * h * sigma - pp * r_hat
-        c = -(k - 1) * h * sigma - (sigma * k + 1) * r_hat
-    elif family == "Thm5.1":
-        h, k, d = g("h", 1), params["k"], params["d"]
-        _require(h == 1, family, "requires h = 1")
-        _require(k >= 3 and k % 2 == 1, family, f"k must be odd and >= 3, got {k}")
-        _require(d >= 2 and d % 2 == 0, family, f"d must be a positive even number, got {d}")
-        a = k + 2
-        c = a + (d // 2) * k
-    elif family == "Thm5.2":
-        h, k = params["h"], params["k"]
-        sigma, pp = params["sigma"], params["p"]
-        _require(h >= 2, family, f"requires h >= 2, got {h}")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(pp >= 2, family, f"p must be >= 2, got {pp}")
-        a = (sigma * k + 1) * pp - sigma * k
-        d = 1 - h * sigma * (pp - 1)
-        c = h * sigma + sigma * k + 1
-    elif family == "Thm5.3-(i)":
-        h, k = g("h", 1), params["k"]
-        l, sigma, pp, r = params["l"], params["sigma"], params["p"], params["r"]
-        _require(h == 1, family, "requires h = 1")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(1 <= l <= k - 1, family, f"need 1 <= l <= k-1, got l={l}")
-        _require(sigma >= 2 and pp >= 2, family, "need sigma >= 2 and p >= 2")
-        _require(r > -(sigma + 1), family, f"need r > -(sigma+1), got {r}")
-        a = (sigma * k + 2) * pp - ((sigma - 1) * k + l)
-        d = pp * r + sigma
-        c = ((sigma - 1) * k + l) * r + (sigma * k + 2) * sigma
-    elif family == "Thm5.3-(ii)":
-        h, k = params["h"], params["k"]
-        sigma, pp, r = params["sigma"], params["p"], params["r"]
-        _require(h >= 1, family, f"requires h >= 1, got {h}")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1 and pp >= 2, family, "need sigma >= 1 and p >= 2")
-        _require(r > -h * (sigma + 1) - 1, family, f"need r > -h*(sigma+1)-1, got {r}")
-        a = (sigma * k + 2) * pp - (sigma * k + 1)
-        d = pp * r + h * (sigma + 1) + 1
-        c = (sigma * k + 1) * r + (sigma * k + 2) * (h * (sigma + 1) + 1)
-    elif family == "Thm5.4-(i)":
-        h, k = g("h", 1), params["k"]
-        l, sigma, pp, r = params["l"], params["sigma"], params["p"], params["r"]
-        q = pp - 1
-        _require(h == 1, family, "requires h = 1")
-        _require(k >= 4, family, f"requires k >= 4, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(1 <= l <= k - 3, family, f"need 1 <= l <= k-3, got l={l}")
-        _require(q >= 1, family, f"p must be >= 2, got {pp}")
-        _require(r <= -2, family, f"need r <= -2, got {r}")
-        a = (sigma * k + l + 2) * pp - l * q
-        d = -pp * sigma - q * r
-        c = -l * sigma - (sigma * k + l + 2) * r
-    elif family == "Thm5.4-(ii)":
-        h, k = params["h"], params["k"]
-        sigma, pp, r = params["sigma"], params["p"], params["r"]
-        q = pp - 1
-        _require(h >= 1, family, f"requires h >= 1, got {h}")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 2, family, f"sigma must be >= 2, got {sigma}")
-        _require(q >= 1, family, f"p must be >= 2, got {pp}")
-        _require(r < -h, family, f"need r < -h, got {r}")
-        a = sigma * k * pp - (k - 2) * q
-        d = (1 - h * sigma) * pp - q * r
-        c = (k - 2) * (1 - h * sigma) - sigma * k * r
-    elif family == "Thm5.4-(iii)":
-        h, k = params["h"], params["k"]
-        sigma, pp, r = params["sigma"], params["p"], params["r"]
-        q = pp - 1
-        _require(h >= 1, family, f"requires h >= 1, got {h}")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 1, family, f"sigma must be >= 1, got {sigma}")
-        _require(q >= 1, family, f"p must be >= 2, got {pp}")
-        _require(r < -h, family, f"need r < -h, got {r}")
-        a = (sigma * k + 1) * pp - (k - 1) * q
-        d = (1 - h * sigma) * pp - q * r
-        c = (k - 1) * (1 - h * sigma) - (sigma * k + 1) * r
-    elif family == "Thm5.4-(iv)":
-        h, k = g("h", 1), params["k"]
-        pp, r = params["p"], params["r"]
-        _require(h == 1, family, "requires h = 1")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(pp >= 1, family, f"p must be >= 1, got {pp}")
-        _require(r < -1, family, f"need r < -1, got {r}")
-        a = k + pp + 1
-        d = -(pp + 1) - pp * r
-        c = -k - (k + 1) * r
-    elif family == "Thm5.4-(v)":
-        h, k = g("h", 1), params["k"]
-        sigma, pp, r = params["sigma"], params["p"], params["r"]
-        q = pp - 1
-        _require(h == 1, family, "requires h = 1")
-        _require(k >= 3, family, f"requires k >= 3, got {k}")
-        _require(sigma >= 2, family, f"sigma must be >= 2, got {sigma}")
-        _require(q >= 1, family, f"p must be >= 2, got {pp}")
-        _require(r <= -3, family, f"need r <= -3, got {r}")
-        a = (sigma * k + 1) * pp - (2 * k - 1) * q
-        d = -pp * sigma - q * r
-        c = -sigma * (2 * k - 1) - (sigma * k + 1) * r
-    else:
-        raise FamilyConstraintViolated(f"unknown family id {family!r}")
-
-    out = validate_params(a, d, h, k, c, normalize=False)
+    fam = _family(family)
+    v = dict(params) if fam.h_default is None else {"h": fam.h_default, **params}
+    for violation in (*fam.requires, *fam.conditions):
+        message = violation(**v)
+        if message is not None:
+            raise FamilyConstraintViolated(f"{family}: {message}")
+    a, d, c = fam.synthesize(**v)
+    out = validate_params(a, d, v["h"], v["k"], c, normalize=False)
     if not build_table(out).hypothesis_ok:
         raise FamilyConstraintViolated(
             f"{family}: parameters {params} synthesize a table that violates "
@@ -567,176 +667,42 @@ def classify(p: AagParams) -> Classification:
 # ---------------------------------------------------------------------------
 
 
-def _integer_roots(kc: int, b: int, constant: int) -> list[int]:
-    """Integer roots of kc*p^2 - b*p - constant = 0 with perfect-square test.
+def _affine_root(fam: Family, v: dict, key: str, i: int, target: int) -> int | None:
+    """Exact ``v[key]`` with ``fam.synthesize(**v)[i] == target``, or None.
 
-    Returns the integer roots among both branches (the written "+" branch
-    first).  A negative or non-square discriminant yields no roots.
+    The synthesized component is affine in ``v[key]``, so its values at 0
+    and 1 give the intercept and the slope.
     """
-    disc = b * b + 4 * kc * constant
-    if disc < 0:
+    at0 = fam.synthesize(**{**v, key: 0})[i]
+    slope = fam.synthesize(**{**v, key: 1})[i] - at0
+    if slope == 0 or (target - at0) % slope:
+        return None
+    return (target - at0) // slope
+
+
+def _members(fam: Family, env: dict[str, int]) -> list[dict[str, int]]:
+    """Solved parameters of every member of ``fam`` with this presentation."""
+    a, d, c = env["a"], env["d"], env["c"]
+    if any(violation(**env) for violation in fam.requires):
         return []
-    root = math.isqrt(disc)
-    if root * root != disc:
-        return []
-    out = []
-    for numerator in (b + root, b - root):
-        if numerator % (2 * kc) == 0:
-            value = numerator // (2 * kc)
-            if value not in out:
-                out.append(value)
-    return out
-
-
-def _fast_candidates(p: AagParams) -> list[tuple[str, dict[str, int]]]:
-    """All fully-consistent family hits from the quadratic/linear solves."""
-    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
-    a1 = h * a + d
-    ak = h * a + k * d
-    hits: list[tuple[str, dict[str, int]]] = []
-
-    def add(family: str, solved: dict[str, int]) -> None:
-        if (family, solved) not in hits:
-            hits.append((family, solved))
-
-    # F = k*d family: everything is pinned by (a, d, c) directly.
-    if h == 1 and k % 2 == 1 and d > 0 and d % 2 == 0:
-        if a == k + 2 and c == a + (d // 2) * k:
-            add("Thm5.1", {})
-
-    # F = 3a1 - 2a2 - ak family: sigma and p recovered linearly.
-    if h >= 2 and d < 0:
-        if (c - 1) % (h + k) == 0:
-            sigma = (c - 1) // (h + k)
-            if sigma >= 1 and (1 - d) % (h * sigma) == 0:
-                pp = 1 + (1 - d) // (h * sigma)
-                if pp >= 2 and a == (sigma * k + 1) * pp - sigma * k:
-                    add("Thm5.2", {"sigma": sigma, "p": pp})
-
-    # Two-column family with t = 2: quadratic in p.
-    for pp in _integer_roots(
-        k * c, k * (c + a + a1) - 2 * ak, ak * (a + 1) - k * (a + a1)
-    ):
-        if pp < 2:
-            continue
-        if (a + 1 - 2 * pp) % (k * (pp - 1)) != 0:
-            continue
-        sigma = (a + 1 - 2 * pp) // (k * (pp - 1))
-        if sigma < 1:
-            continue
-        if (d - h * (sigma + 1) - 1) % pp != 0:
-            continue
-        r = (d - h * (sigma + 1) - 1) // pp
-        if r < -h * sigma:
-            continue
-        if c == (sigma * k + 1) * r + (sigma * k + 2) * (h * (sigma + 1) + 1):
-            add("Thm5.3-(ii)", {"sigma": sigma, "p": pp, "r": r})
-
-    # l-indexed families: one quadratic per admissible l.
-    if h == 1:
-        for l in range(1, k):
-            al = a + l * d
-            for pp in _integer_roots(
-                k * c, k * (c + al - ak) - 2 * ak, ak * (a + l) - k * al
-            ):
-                if pp < 2:
-                    continue
-                if (a - 2 * pp - k + l) % (k * (pp - 1)) != 0:
-                    continue
-                sigma = (a - 2 * pp - k + l) // (k * (pp - 1))
-                if sigma < 2:
-                    continue
-                if (d - sigma) % pp != 0:
-                    continue
-                r = (d - sigma) // pp
-                if not -(sigma + 1) < r:
-                    continue
-                if c == ((sigma - 1) * k + l) * r + (sigma * k + 2) * sigma:
-                    add("Thm5.3-(i)", {"l": l, "sigma": sigma, "p": pp, "r": r})
-
-        for l in range(1, k - 2):
-            al2 = a + (l + 2) * d
-            for pp in _integer_roots(
-                k * c, k * (c - a + al2) - 2 * ak, ak * (a - l)
-            ):
-                if pp < 2:
-                    continue
-                if (a - 2 * pp - l) % (k * pp) != 0:
-                    continue
-                sigma = (a - 2 * pp - l) // (k * pp)
-                if sigma < 1:
-                    continue
-                if (-d - pp * sigma) % (pp - 1) != 0:
-                    continue
-                r = (-d - pp * sigma) // (pp - 1)
-                if r >= -1:
-                    continue
-                if c == -l * sigma - (sigma * k + l + 2) * r:
-                    add("Thm5.4-(i)", {"l": l, "sigma": sigma, "p": pp, "r": r})
-
-    for pp in _integer_roots(
-        k * c, k * (c - a + ak) - 2 * ak, ak * (a - k + 2)
-    ):
-        if pp < 2:
-            continue
-        if (a + (k - 2) * (pp - 1)) % (k * pp) != 0:
-            continue
-        sigma = (a + (k - 2) * (pp - 1)) // (k * pp)
-        if sigma < 2:
-            continue
-        if ((1 - h * sigma) * pp - d) % (pp - 1) != 0:
-            continue
-        r = ((1 - h * sigma) * pp - d) // (pp - 1)
-        if r >= -h:
-            continue
-        if c == (k - 2) * (1 - h * sigma) - sigma * k * r:
-            add("Thm5.4-(ii)", {"sigma": sigma, "p": pp, "r": r})
-
-    for pp in _integer_roots(
-        k * c, k * (a1 + c - (h + 1) * a + ak) - 2 * ak, ak * (a - k + 1)
-    ):
-        if pp < 2:
-            continue
-        if (a + (k - 2) * pp - k + 1) % (k * pp) != 0:
-            continue
-        sigma = (a + (k - 2) * pp - k + 1) // (k * pp)
-        if sigma < 1:
-            continue
-        if ((1 - h * sigma) * pp - d) % (pp - 1) != 0:
-            continue
-        r = ((1 - h * sigma) * pp - d) // (pp - 1)
-        if r >= -h:
-            continue
-        if c == (k - 1) * (1 - h * sigma) - (sigma * k + 1) * r:
-            add("Thm5.4-(iii)", {"sigma": sigma, "p": pp, "r": r})
-
-    # Linear family: p is pinned by a alone.
-    if h == 1:
-        pp = a - k - 1
-        if pp >= 1:
-            if (-d - pp - 1) % pp == 0:
-                r = (-d - pp - 1) // pp
-                if r < -1 and c == -k - (k + 1) * r:
-                    add("Thm5.4-(iv)", {"p": pp, "r": r})
-
-        for pp in _integer_roots(
-            k * c, k * (c + d + 2 * ak) - 2 * ak, ak * (a - 2 * k + 1)
+    hits = []
+    for pinned in fam.solve(**env):
+        # a does not depend on r: any r will do while sigma is solved.
+        v = {**env, "r": 0, **pinned}
+        if "sigma" in fam.keys:
+            v["sigma"] = _affine_root(fam, v, "sigma", 0, a)
+            if v["sigma"] is None:
+                continue
+        if "r" in fam.keys:
+            v["r"] = _affine_root(fam, v, "r", 1, d)
+            if v["r"] is None:
+                continue
+        if (
+            not any(violation(**v) for violation in fam.conditions)
+            and (fam.fast_guard is None or fam.fast_guard(**v))
+            and fam.synthesize(**v) == (a, d, c)
         ):
-            if pp < 2:
-                continue
-            if (a + (2 * k - 2) * pp - 2 * k + 1) % (k * pp) != 0:
-                continue
-            sigma = (a + (2 * k - 2) * pp - 2 * k + 1) // (k * pp)
-            if sigma < 2:
-                continue
-            if (-d - pp * sigma) % (pp - 1) != 0:
-                continue
-            r = (-d - pp * sigma) // (pp - 1)
-            if r >= -2:
-                continue
-            if c == -sigma * (2 * k - 1) - (sigma * k + 1) * r:
-                add("Thm5.4-(v)", {"sigma": sigma, "p": pp, "r": r})
-
+            hits.append({key: v[key] for key in fam.keys})
     return hits
 
 
@@ -751,22 +717,28 @@ def fast_path(p: AagParams) -> Classification | None:
     p = _raw_presentation(p)
     if p.k < 3:
         return None
-    hits = _fast_candidates(p)
+    env = _variables(p)
+    hits = [
+        (fam, solved)
+        for fam in FAMILIES
+        if fam.solve is not None
+        for solved in _members(fam, env)
+    ]
     if not hits:
         return None
     if len(hits) > 1:
-        described = "; ".join(f"{fam} with {solved}" for fam, solved in hits)
+        described = "; ".join(f"{fam.id} with {solved}" for fam, solved in hits)
         raise AmbiguousFastPath(
             f"multiple families consistent for a={p.a}, d={p.d}, h={p.h}, "
             f"k={p.k}, c={p.c}: {described}"
         )
-    family, solved = hits[0]
+    fam, solved = hits[0]
     return Classification(
         verdict=VERDICT_ALMOST_SYMMETRIC,
-        family=family,
+        family=fam.id,
         solved=solved,
-        type=family_type(family, solved, p),
-        frobenius=family_frobenius(family, solved, p),
+        type=family_type(fam.id, solved, p),
+        frobenius=family_frobenius(fam.id, solved, p),
         fast_path_used=True,
     )
 

@@ -39,7 +39,9 @@ from . import oracle
 from .classify import (
     VERDICT_ALMOST_SYMMETRIC,
     VERDICT_NEITHER,
+    VERDICT_ORACLE_ONLY,
     VERDICT_SYMMETRIC,
+    Classification,
     classify,
     classify_with_fast_path,
     fast_path,
@@ -175,6 +177,16 @@ def _prepare_cell(a, d, h, k, c):
     return p, build_table(p), None
 
 
+def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
+    """Does the oracle confirm the verdict's type, Frobenius number and class?"""
+    symmetry_ok = {
+        VERDICT_SYMMETRIC: rep.symmetric,
+        VERDICT_ALMOST_SYMMETRIC: rep.almost_symmetric,
+        VERDICT_NEITHER: not rep.almost_symmetric,
+    }.get(cls.verdict, True)
+    return symmetry_ok and rep.frobenius == cls.frobenius and rep.type == cls.type
+
+
 def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
     """Classify one validated cell -> (record | None, skip reason | None)."""
     if spec.fast_only:
@@ -207,15 +219,7 @@ def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
         "hypothesis_ok": t.hypothesis_ok,
     }
     if spec.oracle_verify:
-        rep = oracle.oracle_report(list(p.generators))
-        agrees = rep.frobenius == cls.frobenius and rep.type == cls.type
-        if cls.verdict == VERDICT_SYMMETRIC:
-            agrees = agrees and rep.symmetric
-        elif cls.verdict == VERDICT_ALMOST_SYMMETRIC:
-            agrees = agrees and rep.almost_symmetric
-        elif cls.verdict == VERDICT_NEITHER:
-            agrees = agrees and not rep.almost_symmetric
-        record["oracle_agrees"] = agrees
+        record["oracle_agrees"] = _oracle_agrees(cls, oracle.oracle_report(list(p.generators)))
     return record, None
 
 
@@ -393,7 +397,7 @@ def _analyze_report(args) -> tuple[dict, AagParams, EuclidTable]:
     t = build_table(p)
     cls = classify_with_fast_path(p) if args.fast else classify(p)
 
-    if t.hypothesis_ok:
+    if cls.verdict != VERDICT_ORACLE_ONLY:
         pf = pf_tilde(p, t)
         pf_list = list(pf.pf_numbers)
         trace = pf.case_trace
@@ -435,18 +439,7 @@ def _analyze_report(args) -> tuple[dict, AagParams, EuclidTable]:
     }
     if args.oracle_verify:
         rep = oracle.oracle_report(list(p.generators))
-        agrees = (
-            rep.frobenius == cls.frobenius
-            and rep.type == cls.type
-            and list(rep.pf) == pf_list
-        )
-        if cls.verdict == VERDICT_SYMMETRIC:
-            agrees = agrees and rep.symmetric
-        elif cls.verdict == VERDICT_ALMOST_SYMMETRIC:
-            agrees = agrees and rep.almost_symmetric
-        elif cls.verdict == VERDICT_NEITHER:
-            agrees = agrees and not rep.almost_symmetric
-        report["oracle_agrees"] = agrees
+        report["oracle_agrees"] = _oracle_agrees(cls, rep) and list(rep.pf) == pf_list
     return report, p, t
 
 
@@ -533,6 +526,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and strides: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_tuple_args(parser) -> None:
     parser.add_argument("--a", type=int, required=True, help="multiple generator a")
     parser.add_argument("--d", type=int, required=True, help="common difference d (nonzero)")
@@ -571,7 +575,7 @@ def _build_parser() -> _Parser:
     )
     scan.add_argument("--format", choices=("json-lines", "csv"), default="json-lines")
     scan.add_argument("--out", help="write records to this file (default: stdout)")
-    scan.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    scan.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     scan.add_argument(
         "--hypothesis-only",
         action="store_true",
@@ -588,9 +592,9 @@ def _build_parser() -> _Parser:
         verify,
         {"a": (2, 400), "d": (-9, 9), "c": (2, 600), "k": (3, 6), "h": (1, 3)},
     )
-    verify.add_argument("--stride-a", type=int, default=1, help="subsample a by this step")
-    verify.add_argument("--stride-c", type=int, default=1, help="subsample c by this step")
-    verify.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    verify.add_argument("--stride-a", type=_positive_int, default=1, help="subsample a by this step")
+    verify.add_argument("--stride-c", type=_positive_int, default=1, help="subsample c by this step")
+    verify.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     verify.add_argument(
         "--self-test-invert",
         action="store_true",

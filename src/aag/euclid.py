@@ -57,7 +57,11 @@ class EuclidRow:
 
 @dataclass(frozen=True)
 class EuclidTable:
-    """All rows 0..m+1 (s_{m+1} = 0) plus pivot and tilde data."""
+    """All rows 0..m+1 (s_{m+1} = 0) plus pivot and tilde data.
+
+    ``hypothesis_ok`` is the structural hypothesis: r'_μ >= h, or k divides
+    s_μ (ρ_μ = 0).  It always holds when h = 1, since r'_μ > 0.
+    """
 
     rows: tuple[EuclidRow, ...]
     mu: int
@@ -174,15 +178,6 @@ def build_table(params: AagParams) -> EuclidTable:
         hypothesis_ok=rows[mu].r_prime >= h or rows[mu].rho == 0,
     )
     return table
-
-
-def hypothesis_holds(table: EuclidTable, h: int) -> bool:
-    """Structural hypothesis: r'_μ >= h, or k divides s_μ (ρ_μ = 0).
-
-    Always true when h = 1: r'_μ >= 1 is exactly r'_μ > 0.
-    """
-    pivot = table.pivot
-    return pivot.r_prime >= h or pivot.rho == 0
 
 
 def format_table(table: EuclidTable) -> str:

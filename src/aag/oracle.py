@@ -182,10 +182,7 @@ def _apery_dijkstra(gens: list[int], m: int) -> list[int]:
 
 def frobenius_oracle(generators: Sequence[int], modulus: int | None = None) -> int:
     """Frobenius number: largest integer outside the semigroup (-1 for N)."""
-    gens = _clean_generators(generators)
-    m = min(gens) if modulus is None else modulus
-    table = apery_oracle(gens, m)
-    return max(table) - m
+    return oracle_report(generators, modulus).frobenius
 
 
 def membership(
@@ -215,43 +212,13 @@ def membership(
 
 
 def pf_oracle(generators: Sequence[int], modulus: int | None = None) -> list[int]:
-    """Sorted pseudo-Frobenius numbers, via maximal elements of the Apery set.
-
-    An Apery element w is maximal for the order "s <= s' iff s' - s in S"
-    exactly when w + g leaves the Apery set for every generator g: if
-    w + x is in the Apery set for some nonzero x in S, peeling one generator
-    g off x keeps w + g in the Apery set as well.  The pseudo-Frobenius
-    numbers are the maximal elements minus the modulus.
-    """
-    gens = _clean_generators(generators)
-    _require_coprime(gens)
-    m = min(gens) if modulus is None else modulus
-    table = apery_oracle(gens, m)
-    if m == 1:
-        return [-1]
-    if m * max(gens) < _NUMPY_SAFE_PRODUCT:
-        w = np.asarray(table, dtype=np.int64)
-        dominated = np.zeros(m, dtype=bool)
-        for g in sorted(set(gens)):
-            shifted = w + g
-            dominated |= w[shifted % m] == shifted
-        pf = (w[~dominated] - m).tolist()
-    else:
-        pf = [
-            value - m
-            for value in table
-            if all(table[(value + g) % m] != value + g for g in gens)
-        ]
-    return sorted(pf)
+    """Sorted pseudo-Frobenius numbers, via maximal elements of the Apery set."""
+    return list(oracle_report(generators, modulus).pf)
 
 
 def genus(generators: Sequence[int], modulus: int | None = None) -> int:
     """Number of gaps: non-negative integers outside the semigroup."""
-    gens = _clean_generators(generators)
-    m = min(gens) if modulus is None else modulus
-    table = apery_oracle(gens, m)
-    # Each residue class r contributes (w[r] - r)/m gaps (Selmer's formula).
-    return (sum(table) - (m - 1) * m // 2) // m
+    return oracle_report(generators, modulus).genus
 
 
 def is_minimal_generating(generators: Sequence[int]) -> bool:
@@ -282,20 +249,20 @@ def is_minimal_generating(generators: Sequence[int]) -> bool:
 
 
 def almost_symmetric_oracle(generators: Sequence[int], modulus: int | None = None) -> bool:
-    """Pairing criterion on the sorted pseudo-Frobenius numbers.
-
-    With PF(S) = {f_1 < ... < f_t} (so f_t is the Frobenius number), the
-    semigroup is almost symmetric iff f_i + f_{t-i} = f_t for 1 <= i <= t-1.
-    Vacuously true for t = 1, i.e. symmetric semigroups pass too.
-    """
-    pf = pf_oracle(generators, modulus)
-    t = len(pf)
-    frob = pf[-1]
-    return all(pf[i] + pf[t - 2 - i] == frob for i in range(t - 1))
+    """Pairing criterion f_i + f_{t-i} = F on the sorted pseudo-Frobenius numbers."""
+    return oracle_report(generators, modulus).almost_symmetric
 
 
 def oracle_report(generators: Sequence[int], modulus: int | None = None) -> OracleReport:
-    """Compute one shared Apery table and derive every oracle quantity."""
+    """Compute one shared Apery table and derive every oracle quantity.
+
+    The pseudo-Frobenius numbers are the maximal Apery elements minus the
+    modulus.  An Apery element w is maximal for the order "s <= s' iff
+    s' - s in S" exactly when w + g leaves the Apery set for every
+    generator g: if w + x is in the Apery set for some nonzero x in S,
+    peeling one generator g off x keeps w + g in the Apery set as well.
+    The genus counts (w[r] - r)/m gaps per residue class r (Selmer).
+    """
     gens = _clean_generators(generators)
     _require_coprime(gens)
     m = min(gens) if modulus is None else modulus

@@ -172,15 +172,6 @@ def _values_and_count(
     return values, count
 
 
-def pf_numbers_and_type(r: PfResult, p: AagParams) -> tuple[list[int], int]:
-    """Recompute the sorted pseudo-Frobenius set and the type from a result.
-
-    Works directly from the monomials in ``r``, independently of the cached
-    ``pf_numbers``/``type`` fields, so it doubles as a consistency check.
-    """
-    return _values_and_count(r.pf1, r.pf2, p)
-
-
 def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
     """Compute both pseudo-Frobenius monomial families from the pivot data.
 

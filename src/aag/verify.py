@@ -43,17 +43,17 @@ def closed_form_violations(
     harness self-test can prove that mismatches are detected and counted.
     """
     out = []
-    gens = list(p.generators)
+    rep = oracle.oracle_report(list(p.generators), p.a)
     closed_apery = sorted(apery_values(p, t))
-    oracle_apery = sorted(oracle.apery_oracle(gens, p.a))
+    oracle_apery = sorted(rep.apery)
     if closed_apery != oracle_apery:
         out.append(f"apery mismatch: closed {closed_apery[:6]}... vs oracle {oracle_apery[:6]}...")
     closed_pf = list(pf_tilde(p, t).pf_numbers)
-    oracle_pf = oracle.pf_oracle(gens, p.a)
+    oracle_pf = list(rep.pf)
     if closed_pf != oracle_pf:
         out.append(f"pf mismatch: closed {closed_pf} vs oracle {oracle_pf}")
     closed_f = frobenius(p, t)
-    oracle_f = oracle.frobenius_oracle(gens, p.a)
+    oracle_f = rep.frobenius
     agree = closed_f == oracle_f
     if invert_frobenius:
         agree = not agree

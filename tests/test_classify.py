@@ -1,17 +1,23 @@
 """Tests for the symmetric / almost-symmetric classification routes."""
 
+import json
+from importlib.resources import files
+
 import pytest
 from hypothesis import given, settings
 
+import aag.classify as classify_module
 from aag import oracle
 from aag.classify import (
     ALL_FAMILIES,
     ALMOST_SYMMETRIC_FAMILIES,
+    FAMILIES,
     SYMMETRIC_FAMILIES,
     VERDICT_ALMOST_SYMMETRIC,
     VERDICT_NEITHER,
     VERDICT_ORACLE_ONLY,
     VERDICT_SYMMETRIC,
+    _raw_presentation,
     classify,
     classify_with_fast_path,
     family_frobenius,
@@ -126,6 +132,50 @@ class TestNariCheck:
     def test_empty_list_rejected(self):
         with pytest.raises(MalformedPf):
             nari_check([], 0)
+
+
+class TestRegistry:
+    def test_ids_match_public_tuples_and_schema(self):
+        schema = json.loads(files("aag").joinpath("schemas/scan_record.schema.json").read_text())
+        enum = [fam for fam in schema["properties"]["family"]["enum"] if fam is not None]
+        ids = tuple(fam.id for fam in FAMILIES)
+        assert ids == ALL_FAMILIES == tuple(enum)
+        assert ALL_FAMILIES == SYMMETRIC_FAMILIES + ALMOST_SYMMETRIC_FAMILIES
+
+    def test_almost_symmetric_records_have_a_fast_path_solve(self):
+        for fam in FAMILIES:
+            assert (fam.solve is None) == fam.symmetric, fam.id
+
+
+class TestRawPresentation:
+    EXPECTED = ("Thm5.3-(i)", {"l": 14, "sigma": 4, "p": 3, "r": -2}, 6, 668)
+
+    def test_normalized_tuple_is_not_revalidated(self, monkeypatch):
+        p = validate_params(163, -2, 1, 19, 170)
+        assert p.normalized
+
+        def refuse(gens):
+            raise AssertionError("minimality re-checked on an already validated tuple")
+
+        monkeypatch.setattr(oracle, "is_minimal_generating", refuse)
+        for r in (classify(p), fast_path(p)):
+            assert (r.family, r.solved, r.type, r.frobenius) == self.EXPECTED
+
+    def test_raw_generators_match_the_raw_tuple(self):
+        p = validate_params(163, -2, 1, 19, 170)
+        raw = validate_params(163, -2, 1, 19, 170, normalize=False)
+        assert _raw_presentation(p) == raw
+
+    def test_fast_path_neither_validates_nor_builds_a_table(self, monkeypatch):
+        p = validate_params(163, -2, 1, 19, 170)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fast path left closed-form arithmetic")
+
+        monkeypatch.setattr(classify_module, "validate_params", refuse)
+        monkeypatch.setattr(classify_module, "build_table", refuse)
+        r = fast_path(p)
+        assert (r.family, r.solved, r.type, r.frobenius) == self.EXPECTED
 
 
 class TestSweepRecords:

@@ -66,6 +66,19 @@ class TestExitCodes:
             main(["scan", "--fast-only", "--all"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--stride-a", "--stride-c"])
+    def test_zero_stride_is_usage_error(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, "0"])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_usage_error(self, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", workers])
+        assert exc.value.code == EXIT_USAGE
+
     def test_gcd_violation_exits_2_with_reason(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--a", "6", "--d", "2", "--h", "1", "--k", "3", "--c", "7"
@@ -115,6 +128,18 @@ class TestAnalyze:
         assert doc["fast_path_used"] is True
         assert doc["oracle_agrees"] is True
         assert doc["family"] == "Thm5.3-(ii)"
+
+    def test_k_below_three_takes_oracle_route(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--a", "3", "--d", "1", "--h", "1", "--k", "1", "--c", "5",
+            "--json", "--oracle-verify",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["verdict"] == "OracleOnly"
+        assert doc["pf"] == [1, 2] and doc["case_trace"] is None
+        assert (doc["type"], doc["frobenius"]) == (2, 2)
+        assert doc["oracle_agrees"] is True
 
     def test_human_output(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *EX1)

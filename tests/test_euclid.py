@@ -11,7 +11,6 @@ from aag.euclid import (
     build_table,
     decompose,
     format_table,
-    hypothesis_holds,
     tilde_for_pair,
 )
 
@@ -48,7 +47,7 @@ class TestFrozenTables:
         assert triples == [(155, 0, 1), (22, 1, -1), (21, 8, -9)]
         assert [row.r_prime for row in t.rows[:3]] == [33, 7, -1]
         assert t.mu == 1
-        assert t.hypothesis_ok and hypothesis_holds(t, ex1.h)
+        assert t.hypothesis_ok
         # s_mu - s_{mu+1} = 1: widetilde decomposition (0, 1, 1), r-tilde 12.
         assert (t.tilde_sigma, t.tilde_rho, t.tilde_ell, t.tilde_r) == (0, 1, 1, 12)
         # Case with rho_mu > rho_{mu+1} > 0: r-tilde - h = r'_mu - r'_{mu+1}.
@@ -67,7 +66,7 @@ class TestFrozenTables:
         assert triples == [(163, 0, -2), (78, 1, -2), (71, 3, -4), (64, 5, -6)]
         assert [row.r_prime for row in t.rows[:3]] == [7, 3, 0]
         assert t.mu == 1
-        assert hypothesis_holds(t, 1)
+        assert t.hypothesis_ok
 
     def test_normalized_presentation(self, ex2_normalized):
         assert (ex2_normalized.a, ex2_normalized.d) == (125, 2)
@@ -152,4 +151,4 @@ class TestInvariants:
         params = validate_params(165, -1, 4, 19, 186)
         t = build_table(params)
         _check_invariants(params, t)
-        assert hypothesis_holds(t, 4) == t.hypothesis_ok
+        assert t.hypothesis_ok == (t.pivot.r_prime >= 4 or t.pivot.rho == 0)
