@@ -285,8 +285,7 @@ def _run_chunks(worker, tasks, workers: int) -> list:
     """Map worker over tasks, preserving submission order exactly."""
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
-    ctx = get_context("fork")
-    with ctx.Pool(min(workers, len(tasks))) as pool:
+    with get_context().Pool(min(workers, len(tasks))) as pool:
         return pool.map(worker, tasks, chunksize=1)
 
 

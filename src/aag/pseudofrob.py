@@ -2,12 +2,13 @@
 
 The pseudo-Frobenius numbers of the semigroup are the integers ``f`` outside
 the semigroup with ``f + s`` inside it for every nonzero element ``s``.  Under
-the standing hypothesis (``r'_mu >= h`` or ``rho_mu = 0``) they are the images
-``phi(M) - a`` of an explicitly constructible set of standard monomials, split
-into two families by the exponent of the last variable:
+the standing hypothesis (``r'_mu >= h`` or ``rho_mu = 0``) they are the values
+``weight(pt) - a`` of an explicitly constructible set of standard monomials,
+each held as its plane point ``(y, z)`` of the Apery staircase (see
+``staircase``), and split into two families by the row ``z``:
 
-* ``pf1``: exponent ``p_{mu+1} - 1``,
-* ``pf2``: exponent ``p_{mu+1} - p_mu - 1``.
+* ``pf1``: ``z = p_{mu+1} - 1``,
+* ``pf2``: ``z = p_{mu+1} - p_mu - 1``.
 
 Each family is produced by a flat decision table keyed on the pivot pair of
 the Euclidean table.  Every arm carries a clause identifier (``1a`` .. ``2d``
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AagParams, Monomial, phi
+from .core import AagParams
 from .errors import (
     DuplicatePfValue,
     HypothesisViolated,
@@ -30,55 +31,50 @@ from .errors import (
     NonsenseInput,
 )
 from .euclid import EuclidTable
+from .staircase import StandardPoint, weight
 
 
 @dataclass(frozen=True, slots=True)
 class PfResult:
-    """Pseudo-Frobenius monomials, their integer values, and the dispatch trace.
+    """Pseudo-Frobenius points, their integer values, and the dispatch trace.
 
-    ``pf1`` holds the monomials whose last-variable exponent is
-    ``p_{mu+1} - 1``; ``pf2`` those with exponent ``p_{mu+1} - p_mu - 1``.
-    ``pf_numbers`` is the sorted list of ``phi(M) - a`` over both families,
-    ``type`` its cardinality, and ``frob_monomial`` the monomial of maximal
-    weight (its value is the Frobenius number).  ``case_trace`` is the
+    ``pf1`` holds the plane points ``(y, z)`` of the pseudo-Frobenius
+    monomials on row ``z = p_{mu+1} - 1``; ``pf2`` those on row
+    ``z = p_{mu+1} - p_mu - 1`` (``staircase.point_to_monomial`` gives the
+    monomial).  ``pf_numbers`` is the sorted list of ``weight(pt) - a`` over
+    both families, ``type`` its cardinality, and ``frob_point`` the point of
+    maximal weight (its value is the Frobenius number).  ``case_trace`` is the
     deterministic record of which decision-table clause fired for each
     family, formatted like ``"PF1: clause 2b; PF2: clause 7i"``.
     """
 
-    pf1: tuple[Monomial, ...]
-    pf2: tuple[Monomial, ...]
+    pf1: tuple[StandardPoint, ...]
+    pf2: tuple[StandardPoint, ...]
     pf_numbers: tuple[int, ...]
     type: int
-    frob_monomial: Monomial
+    frob_point: StandardPoint
     case_trace: str
 
 
-def _family_member(nvars: int, k: int, unit: int, k_exp: int, z_exp: int) -> Monomial:
-    """Build ``x_unit * x_k^k_exp * x_{k+1}^z_exp`` with additive exponents.
+def _family_member(k: int, unit: int, k_exp: int, z_exp: int) -> StandardPoint:
+    """The point of ``x_unit * x_k^k_exp * x_{k+1}^z_exp``.
 
     ``unit = 0`` means no unit factor; ``unit = k`` folds into the ``x_k``
-    power.  Exponents are accumulated, so the ``unit = k`` case simply raises
-    the ``x_k`` exponent by one.
+    power, since the column ``y = k * k_exp + unit`` is then ``k * (k_exp + 1)``.
     """
-    exponents = [0] * nvars
-    if unit:
-        exponents[unit] += 1
-    exponents[k] += k_exp
-    exponents[k + 1] += z_exp
-    return Monomial(tuple(exponents))
+    return StandardPoint(k * k_exp + unit, z_exp)
 
 
-def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
+def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[StandardPoint], str]:
     """Decision table for the ``p_{mu+1} - 1`` family (clauses 1a-1e, 2a-2d)."""
     k = p.k
-    nvars = k + 2
     nxt = t.after_pivot
     z = nxt.p - 1
     rho1 = nxt.rho
     t_sigma, t_rho = t.tilde_sigma, t.tilde_rho
 
-    def run(lo: int, hi: int, base: int) -> list[Monomial]:
-        return [_family_member(nvars, k, i, base, z) for i in range(lo, hi + 1)]
+    def run(lo: int, hi: int, base: int) -> list[StandardPoint]:
+        return [_family_member(k, i, base, z) for i in range(lo, hi + 1)]
 
     if nxt.r_prime == 0:
         if rho1 == 0:
@@ -95,7 +91,7 @@ def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
         if t_rho == 0:
             return run(1, k - 1, t_sigma - 1), "2a"
         if t_rho == 1 and t_sigma == 0:
-            return [_family_member(nvars, k, 0, 0, z)], "2b"
+            return [_family_member(k, 0, 0, z)], "2b"
         if t_rho == 1:
             return run(1, k, t_sigma - 1), "2c"
         if t_rho > 1:
@@ -107,17 +103,16 @@ def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
     )
 
 
-def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
+def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[StandardPoint], str]:
     """Decision table for the ``p_{mu+1} - p_mu - 1`` family (clauses 3-7ii)."""
     k, h = p.k, p.h
-    nvars = k + 2
     piv, nxt = t.pivot, t.after_pivot
     z = nxt.p - piv.p - 1
     s1 = nxt.s
     drop = piv.s - nxt.s
 
-    def run(lo: int, hi: int, base: int) -> list[Monomial]:
-        return [_family_member(nvars, k, i, base, z) for i in range(lo, hi + 1)]
+    def run(lo: int, hi: int, base: int) -> list[StandardPoint]:
+        return [_family_member(k, i, base, z) for i in range(lo, hi + 1)]
 
     if s1 == 0:
         return [], "3"
@@ -132,12 +127,12 @@ def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
             if s1 > 1:
                 return run(t.tilde_rho, k, piv.sigma - 1), "5ii"
             if s1 == 1:
-                return [_family_member(nvars, k, 0, piv.sigma, z)], "5iii"
+                return [_family_member(k, 0, piv.sigma, z)], "5iii"
         elif piv.r_prime == h:
             if drop == 1:
                 return run(1, k, piv.sigma - 1), "6i"
             if 1 < drop <= piv.s - k:
-                return [_family_member(nvars, k, 1, piv.sigma - 1, z)], "6ii"
+                return [_family_member(k, 1, piv.sigma - 1, z)], "6ii"
             if drop > piv.s - k:
                 return [], "6iii"
     elif piv.rho > 1:
@@ -152,17 +147,15 @@ def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[Monomial], str]:
 
 
 def _values_and_count(
-    pf1: tuple[Monomial, ...] | list[Monomial],
-    pf2: tuple[Monomial, ...] | list[Monomial],
-    p: AagParams,
+    pf1: list[StandardPoint], pf2: list[StandardPoint], p: AagParams
 ) -> tuple[list[int], int]:
-    """Sorted ``phi(M) - a`` values over both families, with collision guard.
+    """Sorted ``weight(pt) - a`` values over both families, with collision guard.
 
-    The weight map is injective on the pseudo-Frobenius monomials, so a
+    The weight map is injective on the pseudo-Frobenius points, so a
     duplicate value can only mean a dispatch bug; it raises
     ``DuplicatePfValue`` rather than silently deduplicating.
     """
-    values = sorted(phi(m, p) - p.a for m in (*pf1, *pf2))
+    values = sorted(weight(p, pt) - p.a for pt in (*pf1, *pf2))
     count = len(values)
     if len(set(values)) != count:
         raise DuplicatePfValue(
@@ -173,7 +166,7 @@ def _values_and_count(
 
 
 def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
-    """Compute both pseudo-Frobenius monomial families from the pivot data.
+    """Compute both pseudo-Frobenius point families from the pivot data.
 
     Requires ``k >= 2`` and the standing hypothesis (``r'_mu >= h`` or
     ``rho_mu = 0``); outside the hypothesis the closed-form families are not
@@ -198,13 +191,13 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
         )
 
     values, count = _values_and_count(pf1, pf2, p)
-    frob_monomial = max((*pf1, *pf2), key=lambda m: phi(m, p))
+    frob_point = max((*pf1, *pf2), key=lambda pt: weight(p, pt))
     trace = f"PF1: clause {clause1}; PF2: clause {clause2}"
     return PfResult(
         pf1=tuple(pf1),
         pf2=tuple(pf2),
         pf_numbers=tuple(values),
         type=count,
-        frob_monomial=frob_monomial,
+        frob_point=frob_point,
         case_trace=trace,
     )

@@ -13,19 +13,25 @@ s_μ p_{μ+1} - s_{μ+1} p_μ = a.  The complement of the staircase in the
 quadrant splits into three rectangular regions U, V, W (the monomials of
 the initial ideal); ``initial_region`` names them.
 
-The Frobenius number is max φ over the Apery set minus a.  The maximum is
-taken over the full set: since φ(M(y, z)) = w(y) + z*c grows with z, each
-column's maximum sits on the top row of its rectangle, so the scan walks
-all y once with the z-extent folded in — exact for d of either sign,
-where the x_i weights run in opposite orders.
+The weight of a point is φ(M(y, z)) = α·g_k + g_i + z·c with g_0 = 0
+(``weight``), so a point costs O(1) whatever k is.
+
+The Frobenius number is max φ over the Apery set minus a.  φ grows with z,
+so each rectangle's maximum sits on its top row; along that row only a
+constant number of columns can win.  Within a block of k columns
+g_1, ..., g_{k-1}, g_k run up when d > 0 and down when d < 0, and g_0 = 0
+lies below all of them.  For d > 0 the row therefore rises left to right
+and peaks at its last column hi − 1.  For d < 0 it peaks in each block at
+i = 1, those peaks rise with α, and between peaks it falls: the maximum is
+the last column y ≡ 1 (mod k) in range or, when there is none, the first
+column lo.  The candidates {lo, hi − 1, last y ≡ 1} cover both signs, so
+``frobenius`` evaluates at most six weights whatever s_μ is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .core import AagParams, Monomial
 from .errors import HypothesisViolated, NonsenseInput, NotStandardForm
@@ -35,10 +41,6 @@ REGION_U = "U"
 REGION_V = "V"
 REGION_W = "W"
 REGION_STANDARD = "Standard"
-
-# numpy is used for the weight scan only while a * max(generator) stays
-# clear of int64 range; beyond that a plain-integer loop takes over.
-_NUMPY_SAFE_PRODUCT = 1 << 59
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,41 +130,28 @@ def apery_set(params: AagParams, table: EuclidTable) -> AperySet:
     return AperySet(points=points, bounds=(piv.s, nxt.s, piv.p, nxt.p))
 
 
-def _column_weights_numpy(params: AagParams, s_mu: int) -> np.ndarray:
-    a, d, h, k = params.a, params.d, params.h, params.k
-    gk = h * a + k * d
-    ys = np.arange(s_mu, dtype=np.int64)
-    alpha = ys // k
-    i = ys % k
-    return alpha * gk + np.where(i > 0, h * a + i * d, 0)
+def weight(params: AagParams, pt: StandardPoint) -> int:
+    """φ(M(y, z)) = α·g_k + g_i + z·c with y = αk + i and g_0 = 0."""
+    alpha, i = divmod(pt.y, params.k)
+    gens = params.generators
+    return alpha * gens[params.k] + (gens[i] if i else 0) + pt.z * params.c
 
 
-def _column_weight(params: AagParams, y: int) -> int:
-    alpha, i = divmod(y, params.k)
-    base = params.h * params.a + i * params.d if i else 0
-    return alpha * (params.h * params.a + params.k * params.d) + base
+def _top_row_max(params: AagParams, lo: int, hi: int, z: int) -> int:
+    """Largest weight on row z over the columns lo <= y < hi (lo < hi)."""
+    last_unit = hi - 1 - (hi - 2) % params.k  # last y < hi with y ≡ 1 (mod k)
+    columns = {lo, hi - 1, last_unit} if last_unit >= lo else {lo, hi - 1}
+    return max(weight(params, StandardPoint(y, z)) for y in columns)
 
 
 def frobenius(params: AagParams, table: EuclidTable) -> int:
     """Frobenius number: max φ over the Apery set, minus a."""
     _require_hypothesis(table)
     piv, nxt = table.pivot, table.after_pivot
-    c = params.c
     split = piv.s - nxt.s
-    top1 = (nxt.p - 1) * c
-    top2 = (nxt.p - piv.p - 1) * c
-    if params.a * max(params.generators) < _NUMPY_SAFE_PRODUCT:
-        w = _column_weights_numpy(params, piv.s)
-        best = int(w[:split].max()) + top1
-        if piv.s > split:
-            best = max(best, int(w[split:].max()) + top2)
-    else:
-        best = max(_column_weight(params, y) for y in range(split)) + top1
-        if piv.s > split:
-            best = max(
-                best,
-                max(_column_weight(params, y) for y in range(split, piv.s)) + top2,
-            )
+    best = _top_row_max(params, 0, split, nxt.p - 1)
+    if piv.s > split:
+        best = max(best, _top_row_max(params, split, piv.s, nxt.p - piv.p - 1))
     return best - params.a
 
 
@@ -170,22 +159,17 @@ def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
     """φ of every Apery point (rectangle order, not sorted)."""
     _require_hypothesis(table)
     piv, nxt = table.pivot, table.after_pivot
-    c = params.c
+    k, c = params.k, params.c
     split = piv.s - nxt.s
-    if params.a * max(params.generators) < _NUMPY_SAFE_PRODUCT:
-        w = _column_weights_numpy(params, piv.s)
-        zs1 = np.arange(nxt.p, dtype=np.int64) * c
-        first = (w[:split, None] + zs1[None, :]).ravel()
-        zs2 = np.arange(nxt.p - piv.p, dtype=np.int64) * c
-        second = (w[split:, None] + zs2[None, :]).ravel()
-        return np.concatenate([first, second]).tolist()
-    out = []
-    for y in range(split):
-        wy = _column_weight(params, y)
-        out.extend(wy + z * c for z in range(nxt.p))
-    for y in range(split, piv.s):
-        wy = _column_weight(params, y)
-        out.extend(wy + z * c for z in range(nxt.p - piv.p))
+    # weight is affine in α, w(αk + i) = α·w(k) + w(i), so the k + 1 weights
+    # of the first block give every column without building a point each.
+    block = [weight(params, StandardPoint(i, 0)) for i in range(k + 1)]
+    out: list[int] = []
+    for lo, hi, height in ((0, split, nxt.p), (split, piv.s, nxt.p - piv.p)):
+        for y in range(lo, hi):
+            alpha, i = divmod(y, k)
+            w = alpha * block[k] + block[i]
+            out.extend(range(w, w + height * c, c))
     return out
 
 

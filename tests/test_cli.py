@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, record schema, determinism, dumps."""
 
 import json
+import pickle
 import subprocess
 import sys
 from importlib.resources import files
@@ -17,6 +18,8 @@ from aag.cli import (
     RECORD_FIELDS,
     ScanSpec,
     _enc,
+    _scan_chunk,
+    _verify_chunk,
     main,
     spec_total,
 )
@@ -397,6 +400,18 @@ class TestSerialization:
             k_range=(3, 3), h_range=(1, 2), stride_a=2, stride_c=3,
         )
         assert spec_total(strided) == 2 * 3 * 2 * 1 * 2
+
+    def test_chunk_tasks_and_workers_survive_pickling(self):
+        # Start methods other than fork send each task and worker by pickle.
+        spec = ScanSpec(
+            a_range=(10, 12), d_range=(1, 2), c_range=(5, 30),
+            k_range=(3, 3), h_range=(1, 2), emit_all=True,
+        )
+        for worker, task in ((_scan_chunk, (spec, 11, 2)), (_verify_chunk, (spec, 11, 2, False))):
+            restored_worker, restored_task = pickle.loads(pickle.dumps((worker, task)))
+            assert restored_worker is worker
+            assert restored_task == task
+            assert restored_worker(restored_task) == worker(task)
 
 
 class TestConsoleEntryPoint:

@@ -44,7 +44,7 @@ def _check_against_oracle(p):
     assert list(r.pf_numbers) == oracle.pf_oracle(p.generators)
     assert r.type == len(r.pf1) + len(r.pf2) == len(r.pf_numbers) >= 1
     assert r.pf_numbers[-1] == frobenius(p, t)
-    assert phi(r.frob_monomial, p) - p.a == r.pf_numbers[-1]
+    assert phi(point_to_monomial(r.frob_point, p.k), p) - p.a == r.pf_numbers[-1]
     return r
 
 
@@ -52,11 +52,11 @@ class TestWorkedExample:
     def test_frozen_families(self, ex1):
         t = build_table(ex1)
         r = pf_tilde(ex1, t)
-        assert [str(m) for m in r.pf1] == ["x21^7"]
-        assert [str(m) for m in r.pf2] == ["x1*x20*x21^6"]
+        assert [str(point_to_monomial(pt, 20)) for pt in r.pf1] == ["x21^7"]
+        assert [str(point_to_monomial(pt, 20)) for pt in r.pf2] == ["x1*x20*x21^6"]
         assert r.pf_numbers == (1084, 2168)
         assert r.type == 2
-        assert str(r.frob_monomial) == "x1*x20*x21^6"
+        assert str(point_to_monomial(r.frob_point, 20)) == "x1*x20*x21^6"
         assert r.case_trace == "PF1: clause 2b; PF2: clause 7i"
 
     def test_values_match_weights(self, ex1):
@@ -108,11 +108,13 @@ class TestStructuralInvariants:
         piv, nxt = t.pivot, t.after_pivot
         k = p.k
         apery_monomials = {point_to_monomial(pt, k) for pt in apery_set(p, t).points}
-        for m in r.pf1:
+        pf1 = [point_to_monomial(pt, k) for pt in r.pf1]
+        pf2 = [point_to_monomial(pt, k) for pt in r.pf2]
+        for m in pf1:
             assert m.exponents[k + 1] == nxt.p - 1
-        for m in r.pf2:
+        for m in pf2:
             assert m.exponents[k + 1] == nxt.p - piv.p - 1
-        for m in (*r.pf1, *r.pf2):
+        for m in (*pf1, *pf2):
             assert m.exponents[0] == 0
             assert m in apery_monomials
             # maximality screen: multiplying by any non-unit generator
@@ -135,7 +137,9 @@ class TestStructuralInvariants:
     def test_recompute_matches_cached_fields(self, ex1):
         t = build_table(ex1)
         r = pf_tilde(ex1, t)
-        values = sorted(phi(m, ex1) - ex1.a for m in (*r.pf1, *r.pf2))
+        values = sorted(
+            phi(point_to_monomial(pt, ex1.k), ex1) - ex1.a for pt in (*r.pf1, *r.pf2)
+        )
         assert values == list(r.pf_numbers)
         assert len(values) == r.type
 

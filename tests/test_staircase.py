@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aag import oracle
-from aag.core import monomial, phi, validate_params
+from aag import oracle, staircase
+from aag.core import AagParams, monomial, phi, validate_params
 from aag.errors import HypothesisViolated, NonsenseInput, NotStandardForm
 from aag.euclid import build_table
+from aag.pseudofrob import pf_tilde
 from aag.staircase import (
     REGION_STANDARD,
     REGION_U,
     REGION_V,
     REGION_W,
     StandardPoint,
+    _top_row_max,
     apery_set,
     apery_values,
     frobenius,
@@ -23,6 +25,7 @@ from aag.staircase import (
     iter_apery_points,
     monomial_to_point,
     point_to_monomial,
+    weight,
 )
 
 from conftest import valid_params
@@ -108,6 +111,27 @@ class TestOracleEquivalence:
     def test_negative_d_high_h(self):
         _assert_matches_oracle(validate_params(165, -1, 4, 19, 186))
 
+    def test_big_integers(self):
+        # a * max(gen) >= 2**59, so the oracle runs its Dijkstra path.
+        params = validate_params(31, 2**58 + 1, 1, 3, 1152921504606846972)
+        _assert_matches_oracle(params)
+        t = build_table(params)
+        assert pf_tilde(params, t).pf_numbers == oracle.oracle_report(
+            list(params.generators)
+        ).pf
+
+    def test_long_table(self):
+        params = validate_params(997, 1, 1, 20, 1993)
+        t = build_table(params)
+        assert (len(t.rows), t.pivot.s) == (998, 973)
+        assert frobenius(params, t) == 48828
+        _assert_matches_oracle(params)
+
+    def test_k_one(self):
+        params = validate_params(5, 2, 1, 1, 11)
+        assert frobenius(params, build_table(params)) == 13
+        _assert_matches_oracle(params)
+
     @given(valid_params())
     @settings(max_examples=120, deadline=None)
     def test_random(self, params):
@@ -123,6 +147,39 @@ class TestOracleEquivalence:
         if not t.hypothesis_ok:
             return
         _assert_matches_oracle(params)
+
+
+class TestCandidateColumns:
+    @given(
+        st.integers(1, 10**6),
+        st.integers(-(10**6), 10**6).filter(bool),
+        st.integers(1, 6),
+        st.integers(1, 30),
+        st.integers(0, 200),
+        st.integers(1, 200),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_row_max_is_the_column_scan(self, a, d, h, k, lo, width, z):
+        gens = (a, *(h * a + i * d for i in range(1, k + 1)), 1)
+        assume(min(gens) > 0)
+        params = AagParams(a=a, d=d, h=h, k=k, c=1, generators=gens)
+        hi = lo + width
+        scan = max(weight(params, StandardPoint(y, z)) for y in range(lo, hi))
+        assert _top_row_max(params, lo, hi, z) == scan
+
+    def test_frobenius_weighs_at_most_six_columns(self, monkeypatch):
+        params = validate_params(997, 1, 1, 20, 1993)
+        t = build_table(params)
+        weighed = []
+
+        def counting_weight(p, pt):
+            weighed.append(pt)
+            return weight(p, pt)
+
+        monkeypatch.setattr(staircase, "weight", counting_weight)
+        assert frobenius(params, t) == 48828
+        assert 0 < len(weighed) <= 6 < t.pivot.s
 
 
 class TestRegionPartition:
