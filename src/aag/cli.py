@@ -260,6 +260,9 @@ def _verify_chunk(task):
     for c in _c_values(spec):
         for k in _span(spec.k_range):
             for h in _span(spec.h_range):
+                if k < 2:  # pf_tilde's closed form needs k >= 2
+                    skipped += 1
+                    continue
                 try:
                     p = validate_params(a, d, h, k, c, check_minimality=False)
                 except AagError:
@@ -317,19 +320,23 @@ def cmd_scan(args) -> int:
     total = spec_total(spec)
     print(f"grid: {total} tuples", file=sys.stderr)
 
-    tasks = [(spec, a, d) for a, d in _grid_chunks(spec)]
-    results = _run_chunks(_scan_chunk, tasks, args.workers)
-
-    records: list[dict] = []
-    skips: Counter = Counter()
-    analyzed = 0
-    for chunk_records, chunk_skips, chunk_analyzed in results:
-        records.extend(chunk_records)
-        skips.update(chunk_skips)
-        analyzed += chunk_analyzed
-
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
+        stream = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"aag scan: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        tasks = [(spec, a, d) for a, d in _grid_chunks(spec)]
+        results = _run_chunks(_scan_chunk, tasks, args.workers)
+
+        records: list[dict] = []
+        skips: Counter = Counter()
+        analyzed = 0
+        for chunk_records, chunk_skips, chunk_analyzed in results:
+            records.extend(chunk_records)
+            skips.update(chunk_skips)
+            analyzed += chunk_analyzed
+
         if args.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(RECORD_FIELDS)

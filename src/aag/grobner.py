@@ -1,18 +1,23 @@
-"""Binomial families of the defining ideal and a counting-based basis check.
+"""Binomial families of the defining ideal and a column-profile basis check.
 
 The semigroup ring's defining ideal I is prime and binomial: a binomial
 lies in I exactly when its two monomials have equal weighted degree φ.
-Four families are constructed straight from the Euclidean table:
+Every side below, except the A leads x_i x_j, is a power of x0 times a
+plane monomial M(y, z) = L_i x_k^α x_{k+1}^z with y = αk + i
+(``staircase.plane_monomial``); a column y + j past a multiple of k
+carries into x_k.  With Δs = s_μ − s_{μ+1} and Δp = p_{μ+1} − p_μ, four
+families are constructed straight from the Euclidean table:
 
-  A: x_i x_j - x0^h x_{i+j}        (i + j <= k)          1 <= i <= j <= k-1
-     x_i x_j - x_{i+j-k} x_k       (i + j > k)
-  B: from the pivot row μ — main binomial plus, when ρ_μ > 0, the
-     j-indexed companions x_{ρ_μ+j} x_k^{σ_μ} - x0^{r'_μ-h} x_j x_{k+1}^{p_μ}
-  C: from the difference of rows μ, μ+1 (empty when s_{μ+1} = 0)
-  D: x_{k+1}^{p_{μ+1}} - x0^{-r'_{μ+1}} L_{ρ_{μ+1}} x_k^{σ_{μ+1}}
+  A: x_i x_j - x0^{h·[i+j <= k]} M(i + j, 0)             1 <= i <= j <= k-1
+  B: M(s_μ, 0) - x0^{r'_μ} M(0, p_μ), plus, when ρ_μ > 0, the companions
+     M(s_μ + j, 0) - x0^{r'_μ - h} M(j, p_μ) for j = 1..k-ρ_μ
+  C: M(Δs, Δp) - x0^{r̃}, plus, when ρ̃ > 0, the companions
+     M(Δs + j, Δp) - x0^{r̃ - h} M(j, 0); empty when s_{μ+1} = 0
+  D: M(0, p_{μ+1}) - x0^{-r'_{μ+1}} M(s_{μ+1}, 0)
 
 plus two families used as cross-checks: one binomial per table row
-("Row", sign-dispatched on r') and one per consecutive row pair ("Tilde").
+("Row", M(s, 0) against x0^{r'} M(0, p)) and one per consecutive row pair
+("Tilde").
 
 ``certify_basis`` checks the Groebner-basis property of G = A∪B∪C∪D
 without any S-polynomial machinery: under the weighted degrevlex order
@@ -22,22 +27,24 @@ monomials not divisible by any leading term are exactly the Apery
 staircase — a complete certificate, because φ is injective on standard
 monomials and a monomial algebra has exactly |Ap| = a standard residues.
 Monomials involving two of x_1..x_{k-1} (or one squared) are always
-divisible by the corresponding A-lead, so the scan can stay inside the
-plane; outside a bounding box divisibility propagates along
-M(y+k, z) = x_k M(y, z) and M(y, z+1) = x_{k+1} M(y, z), so checking the
-box [0, s_μ+k) x [0, p_{μ+1}] with its two boundary strips suffices.
+divisible by the corresponding A-lead, so the check stays inside the
+plane.  There, a plane lead at y0 = α0·k + i0 and height ζ divides M(y, z)
+exactly when y // k >= α0, i0 is 0 or y mod k, and z >= ζ, so the standard
+monomials of column y are the z below a height H(y), the least ζ over the
+leads covering y.  Divisibility propagates along M(y+k, z) = x_k M(y, z),
+so comparing H on the columns y < s_μ + k with the staircase heights
+followed by k zeros settles the whole quadrant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
 
 from .core import AagParams, Monomial, phi
-from .errors import HypothesisViolated
-from .euclid import EuclidRow, EuclidTable, tilde_for_pair
+from .errors import HypothesisViolated, NotStandardForm
+from .euclid import EuclidTable, tilde_for_pair
+from .staircase import StandardPoint, monomial_to_point, plane_monomial, rectangles
 
 
 @dataclass(frozen=True)
@@ -67,34 +74,17 @@ def kernel_check(b: Binomial, params: AagParams) -> bool:
     return phi(b.lead, params) == phi(b.tail, params)
 
 
-def _mono(nvars: int, pairs: Iterable[tuple[int, int]]) -> Monomial:
-    exps = [0] * nvars
-    for idx, e in pairs:
-        exps[idx] += e
-    return Monomial(tuple(exps))
-
-
-def _l_shape(nvars: int, rho: int, extra: Iterable[tuple[int, int]]) -> Monomial:
-    """L_rho times the given variable powers (L_0 = 1)."""
-    pairs = list(extra)
-    if rho > 0:
-        pairs.append((rho, 1))
-    return _mono(nvars, pairs)
-
-
 def family_A(params: AagParams) -> list[Binomial]:
     """All k(k-1)/2 quadratic relations among x_1 .. x_{k-1}."""
     k, h = params.k, params.h
-    n = k + 2
     out = []
     for i in range(1, k):
         for j in range(i, k):
-            lead = _mono(n, [(i, 1), (j, 1)])
-            if i + j <= k:
-                tail = _mono(n, [(0, h), (i + j, 1)])
-            else:
-                tail = _mono(n, [(i + j - k, 1), (k, 1)])
-            out.append(Binomial(lead, tail, "A"))
+            exps = [0] * (k + 2)
+            exps[i] += 1
+            exps[j] += 1
+            tail = plane_monomial(i + j, 0, k, h if i + j <= k else 0)
+            out.append(Binomial(Monomial(tuple(exps)), tail, "A"))
     return out
 
 
@@ -105,95 +95,51 @@ def families_BCD(params: AagParams, table: EuclidTable) -> list[Binomial]:
             "families B/C/D are only constructed when r'_mu >= h or k | s_mu"
         )
     k, h = params.k, params.h
-    n = k + 2
     piv, nxt = table.pivot, table.after_pivot
-    out = []
-
-    # B: pivot row.
-    if piv.rho == 0:
-        out.append(
+    out = [
+        Binomial(plane_monomial(piv.s, 0, k), plane_monomial(0, piv.p, k, piv.r_prime), "B")
+    ]
+    if piv.rho > 0:
+        out += [
             Binomial(
-                _mono(n, [(k, piv.sigma)]),
-                _mono(n, [(0, piv.r_prime), (k + 1, piv.p)]),
+                plane_monomial(piv.s + j, 0, k),
+                plane_monomial(j, piv.p, k, piv.r_prime - h),
                 "B",
             )
-        )
-    else:
-        out.append(
-            Binomial(
-                _l_shape(n, piv.rho, [(k, piv.sigma)]),
-                _mono(n, [(0, piv.r_prime), (k + 1, piv.p)]),
-                "B",
-            )
-        )
-        for j in range(1, k - piv.rho + 1):
-            # piv.rho + j may equal k; _mono folds that into the x_k power.
-            out.append(
-                Binomial(
-                    _mono(n, [(piv.rho + j, 1), (k, piv.sigma)]),
-                    _mono(n, [(0, piv.r_prime - h), (j, 1), (k + 1, piv.p)]),
-                    "B",
-                )
-            )
+            for j in range(1, k - piv.rho + 1)
+        ]
 
-    # C: row difference, empty when s_{mu+1} = 0.
     if nxt.s > 0:
-        dp = nxt.p - piv.p
-        ts, tr = table.tilde_sigma, table.tilde_rho
-        if tr == 0:
-            out.append(
+        ds, dp, r_tilde = piv.s - nxt.s, nxt.p - piv.p, table.tilde_r
+        out.append(Binomial(plane_monomial(ds, dp, k), plane_monomial(0, 0, k, r_tilde), "C"))
+        if table.tilde_rho > 0:
+            out += [
                 Binomial(
-                    _mono(n, [(k, ts), (k + 1, dp)]),
-                    _mono(n, [(0, table.tilde_r)]),
+                    plane_monomial(ds + j, dp, k),
+                    plane_monomial(j, 0, k, r_tilde - h),
                     "C",
                 )
-            )
-        else:
-            out.append(
-                Binomial(
-                    _l_shape(n, tr, [(k, ts), (k + 1, dp)]),
-                    _mono(n, [(0, table.tilde_r)]),
-                    "C",
-                )
-            )
-            for j in range(1, k - tr + 1):
-                out.append(
-                    Binomial(
-                        _mono(n, [(tr + j, 1), (k, ts), (k + 1, dp)]),
-                        _mono(n, [(0, table.tilde_r - h), (j, 1)]),
-                        "C",
-                    )
-                )
+                for j in range(1, k - table.tilde_rho + 1)
+            ]
 
-    # D: row mu+1.
     out.append(
-        Binomial(
-            _mono(n, [(k + 1, nxt.p)]),
-            _l_shape(n, nxt.rho, [(0, -nxt.r_prime), (k, nxt.sigma)]),
-            "D",
-        )
+        Binomial(plane_monomial(0, nxt.p, k), plane_monomial(nxt.s, 0, k, -nxt.r_prime), "D")
     )
     return out
 
 
 def row_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
-    """One kernel element per table row, dispatched on the sign of r'.
+    """One kernel element per table row: M(s, 0) against x0^{r'} M(0, p).
 
-    For a row (s, p, r) with s = σk + lρ and r' = r + h(σ+l) >= 0 the
-    binomial is L_ρ x_k^σ - x0^{r'} x_{k+1}^p (this shape is also used at
-    r' = 0); for r' < 0 it is x_{k+1}^p - x0^{-r'} L_ρ x_k^σ.  The table's
-    p is never negative, so the third sign pattern cannot arise here.
-    Leads are assigned by the order, not by writing convention.
+    The row equation gives φ(M(s, 0)) = φ(M(0, p)) + r'·a, so the x0 power
+    goes to M(0, p) when r' >= 0 and to M(s, 0) when r' < 0.  Leads are
+    assigned by the order, not by writing convention.
     """
-    n = params.k + 2
+    k = params.k
     out = []
     for row in table.rows:
-        if row.r_prime >= 0:
-            first = _l_shape(n, row.rho, [(params.k, row.sigma)])
-            second = _mono(n, [(0, row.r_prime), (params.k + 1, row.p)])
-        else:
-            first = _mono(n, [(params.k + 1, row.p)])
-            second = _l_shape(n, row.rho, [(0, -row.r_prime), (params.k, row.sigma)])
+        first = plane_monomial(row.s, 0, k, max(-row.r_prime, 0))
+        second = plane_monomial(0, row.p, k, max(row.r_prime, 0))
         if order_key(first, params) < order_key(second, params):
             first, second = second, first
         out.append(Binomial(first, second, "Row"))
@@ -202,39 +148,34 @@ def row_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
 
 def tilde_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
     """The consecutive-pair kernel elements, one per pair i = 0..m."""
-    k = params.k
-    n = k + 2
-    out = []
-    for i in range(len(table.rows) - 1):
-        sigma, rho, _ell, r_tilde = tilde_for_pair(table, i, k, params.h)
-        dp = table.rows[i + 1].p - table.rows[i].p
-        out.append(
-            Binomial(
-                _l_shape(n, rho, [(k, sigma), (k + 1, dp)]),
-                _mono(n, [(0, r_tilde)]),
-                "Tilde",
-            )
+    k, rows = params.k, table.rows
+    return [
+        Binomial(
+            plane_monomial(rows[i].s - rows[i + 1].s, rows[i + 1].p - rows[i].p, k),
+            plane_monomial(0, 0, k, tilde_for_pair(table, i, k, params.h)[3]),
+            "Tilde",
         )
-    return out
+        for i in range(len(rows) - 1)
+    ]
 
 
-def _plane_divisor(m: Monomial, k: int) -> tuple[int, int, int] | None:
-    """(i0, κ, ζ) if the monomial is L_{i0} x_k^κ x_{k+1}^ζ, else None.
+def _column_heights(leads: list[StandardPoint], k: int, width: int) -> list[float]:
+    """H(y) for y < width: the least ζ over the leads covering column y.
 
-    Only such leads can divide a plane monomial: anything with x0, with
-    two distinct unit variables, or with a squared x_i (i < k) cannot.
+    A lead at y0 = α0·k + i0 covers y when y // k >= α0 and i0 is 0 or
+    y mod k; a column no lead covers has height infinity.
     """
-    if m.exponents[0] != 0:
-        return None
-    i0 = 0
-    for j in range(1, k):
-        e = m.exponents[j]
-        if e == 0:
-            continue
-        if e > 1 or i0:
-            return None
-        i0 = j
-    return i0, m.exponents[k], m.exponents[k + 1]
+    by_block: dict[int, list[StandardPoint]] = {}
+    for pt in leads:
+        by_block.setdefault(pt.y // k, []).append(pt)
+    cover = [math.inf] * k  # least ζ per i0 over the blocks seen so far
+    heights: list[float] = []
+    for alpha in range(-(-width // k)):
+        for pt in by_block.get(alpha, ()):
+            i0 = pt.y % k
+            cover[i0] = min(cover[i0], pt.z)
+        heights += [min(cover[0], zeta) for zeta in cover]
+    return heights[:width]
 
 
 def certify_basis(
@@ -245,11 +186,10 @@ def certify_basis(
     """Certify that A∪B∪C∪D is a Groebner basis of the defining ideal.
 
     Returns True iff every element kernel-checks with the constructed
-    monomial as its true leading term, |A| = k(k-1)/2, and the standard
-    plane monomials match the Apery staircase exactly (interior equality
-    plus both boundary strips fully non-standard, which propagates to the
-    whole quadrant by divisibility).  ``basis`` overrides the generating
-    set, which lets tests confirm that corrupted sets fail.
+    monomial as its true leading term, |A| = k(k-1)/2, and the column
+    heights H(y) of the standard plane monomials are the staircase heights
+    on y < s_μ followed by k zeros, summing to a.  ``basis`` overrides the
+    generating set, which lets tests confirm that corrupted sets fail.
     """
     if not table.hypothesis_ok:
         raise HypothesisViolated("certification requires the staircase hypothesis")
@@ -265,33 +205,12 @@ def certify_basis(
         if order_key(b.lead, params) <= order_key(b.tail, params):
             return False
 
-    piv, nxt = table.pivot, table.after_pivot
-    split = piv.s - nxt.s
-    y_max = piv.s + k          # exclusive
-    z_max = nxt.p + 1          # exclusive; includes the z = p_{mu+1} strip
-    ys = np.arange(y_max)
-    i_arr = (ys % k)[:, None]
-    alpha = (ys // k)[:, None]
-    zs = np.arange(z_max)[None, :]
-    nonstandard = np.zeros((y_max, z_max), dtype=bool)
+    leads = []
     for b in basis:
-        shape = _plane_divisor(b.lead, k)
-        if shape is None:
-            continue
-        i0, kappa, zeta = shape
-        i_ok = (i_arr == i0) if i0 else True
-        nonstandard |= i_ok & (alpha >= kappa) & (zs >= zeta)
-
-    # Boundary strips must be entirely non-standard.
-    if not nonstandard[piv.s :, :].all():
-        return False
-    if not nonstandard[:, nxt.p].all():
-        return False
-    # Interior standard cells must be exactly the two Apery rectangles.
-    interior = ~nonstandard[: piv.s, : nxt.p]
-    expected = np.where(
-        ys[: piv.s, None] < split, zs[:, : nxt.p] < nxt.p, zs[:, : nxt.p] < nxt.p - piv.p
-    )
-    if not (interior == expected).all():
-        return False
-    return int(interior.sum()) == params.a
+        try:
+            leads.append(monomial_to_point(b.lead, k))
+        except NotStandardForm:
+            continue  # has x0 or two unit factors: divides no plane monomial
+    profile = [height for lo, hi, height in rectangles(table) for _ in range(lo, hi)]
+    heights = _column_heights(leads, k, len(profile) + k)
+    return heights == profile + [0] * k and sum(profile) == params.a

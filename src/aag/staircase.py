@@ -63,17 +63,27 @@ class AperySet:
     bounds: tuple[int, int, int, int]  # (s_mu, s_mu1, p_mu, p_mu1)
 
 
-def point_to_monomial(pt: StandardPoint, k: int) -> Monomial:
-    """M(y, z) = L_i x_k^α x_{k+1}^z with α = y // k, i = y % k."""
+def plane_monomial(y: int, z: int, k: int, x0: int = 0) -> Monomial:
+    """The monomial x0^e · M(y, z), e = ``x0``, M(y, z) = L_i x_k^α x_{k+1}^z.
+
+    Here α = y // k and i = y % k.  This is the one layout of a plane point
+    as an exponent vector: a column that reaches the next multiple of k
+    carries into the power of x_k.
+    """
     if k < 1:
         raise NonsenseInput(f"k must be positive, got {k}")
-    alpha, i = divmod(pt.y, k)
-    exps = [0] * (k + 2)
+    alpha, i = divmod(y, k)
+    exps = [x0] + [0] * (k + 1)
     if i > 0:
         exps[i] = 1
     exps[k] = alpha
-    exps[k + 1] = pt.z
+    exps[k + 1] = z
     return Monomial(tuple(exps))
+
+
+def point_to_monomial(pt: StandardPoint, k: int) -> Monomial:
+    """M(y, z) = L_i x_k^α x_{k+1}^z with α = y // k, i = y % k."""
+    return plane_monomial(pt.y, pt.z, k)
 
 
 def monomial_to_point(m: Monomial, k: int) -> StandardPoint:
@@ -106,17 +116,25 @@ def _require_hypothesis(table: EuclidTable) -> None:
         )
 
 
+def rectangles(table: EuclidTable) -> tuple[tuple[int, int, int], ...]:
+    """The staircase as two column blocks (lo, hi, height).
+
+    Columns lo <= y < hi hold the points z < height:
+    (0, Δs, p_{μ+1}) and (Δs, s_μ, p_{μ+1} − p_μ) with Δs = s_μ − s_{μ+1}.
+    The second block is empty when s_{μ+1} = 0.
+    """
+    piv, nxt = table.pivot, table.after_pivot
+    split = piv.s - nxt.s
+    return (0, split, nxt.p), (split, piv.s, nxt.p - piv.p)
+
+
 def iter_apery_points(table: EuclidTable) -> Iterator[StandardPoint]:
     """Yield the Apery points rectangle by rectangle (row-major)."""
     _require_hypothesis(table)
-    piv, nxt = table.pivot, table.after_pivot
-    split = piv.s - nxt.s
-    for y in range(split):
-        for z in range(nxt.p):
-            yield StandardPoint(y, z)
-    for y in range(split, piv.s):
-        for z in range(nxt.p - piv.p):
-            yield StandardPoint(y, z)
+    for lo, hi, height in rectangles(table):
+        for y in range(lo, hi):
+            for z in range(height):
+                yield StandardPoint(y, z)
 
 
 def apery_set(params: AagParams, table: EuclidTable) -> AperySet:
@@ -147,25 +165,23 @@ def _top_row_max(params: AagParams, lo: int, hi: int, z: int) -> int:
 def frobenius(params: AagParams, table: EuclidTable) -> int:
     """Frobenius number: max φ over the Apery set, minus a."""
     _require_hypothesis(table)
-    piv, nxt = table.pivot, table.after_pivot
-    split = piv.s - nxt.s
-    best = _top_row_max(params, 0, split, nxt.p - 1)
-    if piv.s > split:
-        best = max(best, _top_row_max(params, split, piv.s, nxt.p - piv.p - 1))
+    best = max(
+        _top_row_max(params, lo, hi, height - 1)
+        for lo, hi, height in rectangles(table)
+        if lo < hi
+    )
     return best - params.a
 
 
 def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
     """φ of every Apery point (rectangle order, not sorted)."""
     _require_hypothesis(table)
-    piv, nxt = table.pivot, table.after_pivot
     k, c = params.k, params.c
-    split = piv.s - nxt.s
     # weight is affine in α, w(αk + i) = α·w(k) + w(i), so the k + 1 weights
     # of the first block give every column without building a point each.
     block = [weight(params, StandardPoint(i, 0)) for i in range(k + 1)]
     out: list[int] = []
-    for lo, hi, height in ((0, split, nxt.p), (split, piv.s, nxt.p - piv.p)):
+    for lo, hi, height in rectangles(table):
         for y in range(lo, hi):
             alpha, i = divmod(y, k)
             w = alpha * block[k] + block[i]
@@ -175,10 +191,9 @@ def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
 
 def initial_region(pt: StandardPoint, table: EuclidTable) -> str:
     """Which piece of the plane the point falls in: U, V, W or Standard."""
-    piv, nxt = table.pivot, table.after_pivot
-    split = piv.s - nxt.s
+    (_, split, tall), (_, s_mu, short) = rectangles(table)
     if pt.y < split:
-        return REGION_U if pt.z >= nxt.p else REGION_STANDARD
-    if pt.z >= nxt.p - piv.p:
+        return REGION_U if pt.z >= tall else REGION_STANDARD
+    if pt.z >= short:
         return REGION_V
-    return REGION_W if pt.y >= piv.s else REGION_STANDARD
+    return REGION_W if pt.y >= s_mu else REGION_STANDARD

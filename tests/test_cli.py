@@ -82,6 +82,20 @@ class TestExitCodes:
             main([command, "--workers", workers])
         assert exc.value.code == EXIT_USAGE
 
+    def test_unwritable_out_is_usage_error_before_scanning(self, capsys, tmp_path, monkeypatch):
+        def no_scan(task):
+            raise AssertionError("a cell was scanned")
+
+        monkeypatch.setattr("aag.cli._scan_chunk", no_scan)
+        missing = tmp_path / "nonexistent" / "x.jsonl"
+        code, out, err = run_cli(capsys, "scan", *SMALL_GRID, "--out", str(missing))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[1:] == [
+            f"aag scan: error: cannot write --out {missing}: No such file or directory"
+        ]
+
     def test_gcd_violation_exits_2_with_reason(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "--a", "6", "--d", "2", "--h", "1", "--k", "3", "--c", "7"
@@ -304,6 +318,23 @@ class TestVerify:
         assert counts["checked"] > 100
         assert counts["skipped"] > 0
         assert "grid:" in err
+
+    def test_k_below_two_is_skipped(self, capsys):
+        grid = (
+            "--a-min", "5", "--a-max", "30",
+            "--d-min", "1", "--d-max", "3",
+            "--c-min", "7", "--c-max", "40",
+            "--h-min", "1", "--h-max", "2",
+        )
+        code, out, _ = run_cli(capsys, "verify", *grid, "--k-min", "1", "--k-max", "1")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"checked": 0, "skipped": 26 * 3 * 34 * 2, "mismatches": 0}
+        code, out, _ = run_cli(capsys, "verify", *grid, "--k-min", "1", "--k-max", "2")
+        assert code == EXIT_OK
+        counts = json.loads(out)
+        assert counts["mismatches"] == 0
+        assert counts["checked"] > 0
+        assert counts["checked"] + counts["skipped"] == 26 * 3 * 34 * 2 * 2
 
     def test_worker_counts_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", *self.GRID)

@@ -18,8 +18,45 @@ from aag.grobner import (
     row_binomials,
     tilde_binomials,
 )
+from aag.staircase import StandardPoint, apery_set, point_to_monomial
 
 from conftest import valid_params
+
+
+def _lead_divisors(params, t, basis):
+    """Each plane point of [0, s_mu+k) x [0, p_{mu+1}] with the indices of
+    the basis leads that divide its monomial."""
+    k = params.k
+    leads = [b.lead.exponents for b in basis]
+    out = {}
+    for y in range(t.pivot.s + k):
+        for z in range(t.after_pivot.p + 1):
+            m = point_to_monomial(StandardPoint(y, z), k).exponents
+            out[StandardPoint(y, z)] = {
+                i for i, lead in enumerate(leads) if all(e <= f for e, f in zip(lead, m))
+            }
+    return out
+
+
+def _certify_matches_definition(params):
+    """certify_basis agrees with its definition, for the full basis and for
+    each single B/C/D element dropped: the plane points of the box that no
+    lead divides are exactly the Apery points."""
+    t = build_table(params)
+    if not t.hypothesis_ok:
+        return
+    basis = family_A(params) + families_BCD(params, t)
+    apery = apery_set(params, t).points
+    divisors = _lead_divisors(params, t, basis)
+    standard = {pt for pt, divs in divisors.items() if not divs}
+    assert standard == apery
+    assert certify_basis(params, t, basis=basis)
+    for i, b in enumerate(basis):
+        if b.family == "A":
+            continue
+        standard = {pt for pt, divs in divisors.items() if divs <= {i}}
+        dropped = basis[:i] + basis[i + 1 :]
+        assert certify_basis(params, t, basis=dropped) == (standard == apery), str(b)
 
 
 class TestFamilyA:
@@ -64,6 +101,18 @@ class TestFamiliesBCD:
         assert len(c) == 1 + 19
         assert str(c[1]) == "x2*x21^7 - x0^8*x1 [C]"
         assert [str(x) for x in d] == ["x21^8 - x0*x1*x20 [D]"]
+
+    def test_frozen_k1(self):
+        # k = 1: no unit variables, every column has y mod 1 = 0.
+        p = validate_params(5, 2, 1, 1, 11)
+        t = build_table(p)
+        assert family_A(p) == []
+        assert [str(b) for b in families_BCD(p, t)] == [
+            "x1^3 - x0^2*x2 [B]",
+            "x1^2*x2 - x0^5 [C]",
+            "x2^2 - x0^3*x1 [D]",
+        ]
+        _certify_matches_definition(p)
 
     def test_kernel_frozen(self, ex1):
         # x21^8 - x0*x1*x20: 8*177 = 1416 = 155 + 621 + 640.
@@ -171,3 +220,13 @@ class TestCertification:
         if not t.hypothesis_ok:
             return
         assert certify_basis(params, t)
+
+    @given(valid_params())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, params):
+        _certify_matches_definition(params)
+
+    @given(valid_params(normalize=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition_raw(self, params):
+        _certify_matches_definition(params)
