@@ -164,17 +164,30 @@ def _grid_chunks(spec: ScanSpec) -> list[tuple[int, int]]:
     return [(a, d) for a in _a_values(spec) for d in _span(spec.d_range)]
 
 
-def _prepare_cell(a, d, h, k, c):
-    """Cheap validation + table for one cell, or a skip reason.
+def iter_cells(spec: ScanSpec, a: int, d: int, skips: Counter, *, normalize: bool, reject):
+    """Yield (params, table) for the kept (c, k, h) cells of one (a, d) pair.
 
-    Minimality (the one expensive validation step) is deferred so that
-    hypothesis-filtered cells never pay for it.
+    A cell is dropped, and counted in ``skips`` under the reason, when it
+    fails validation (the error's class name), when ``reject(p, t)`` names
+    a reason, or when it is not minimal; that oracle check runs last, so
+    rejected cells never pay for it.
     """
-    try:
-        p = validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
-    except AagError as exc:
-        return None, None, type(exc).__name__
-    return p, build_table(p), None
+    for c in _c_values(spec):
+        for k in _span(spec.k_range):
+            for h in _span(spec.h_range):
+                try:
+                    p = validate_params(a, d, h, k, c, normalize=normalize, check_minimality=False)
+                except AagError as exc:
+                    skips[type(exc).__name__] += 1
+                    continue
+                t = build_table(p)
+                reason = reject(p, t)
+                if reason is None and not oracle.is_minimal_generating(list(p.generators)):
+                    reason = "NotMinimal"
+                if reason is not None:
+                    skips[reason] += 1
+                    continue
+                yield p, t
 
 
 def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
@@ -224,64 +237,52 @@ def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
 
 
 def _scan_chunk(task):
-    """Worker: all (c, k, h) cells of one (a, d) pair, in grid order."""
+    """Worker: one (a, d) pair -> (records, skip reasons plus ``"analyzed"``)."""
     spec, a, d = task
+
+    def below_hypothesis(p, t):
+        return "HypothesisFiltered" if spec.hypothesis_only and t.pivot.r_prime < p.h else None
+
     records: list[dict] = []
-    skips: Counter = Counter()
-    analyzed = 0
-    for c in _c_values(spec):
-        for k in _span(spec.k_range):
-            for h in _span(spec.h_range):
-                p, t, reason = _prepare_cell(a, d, h, k, c)
-                if reason is not None:
-                    skips[reason] += 1
-                    continue
-                if spec.hypothesis_only and t.pivot.r_prime < h:
-                    skips["HypothesisFiltered"] += 1
-                    continue
-                if not oracle.is_minimal_generating(list(p.generators)):
-                    skips["NotMinimal"] += 1
-                    continue
-                record, reason = _scan_cell(spec, p, t)
-                if reason is not None:
-                    skips[reason] += 1
-                    continue
-                analyzed += 1
-                if record is not None:
-                    records.append(record)
-    return records, skips, analyzed
+    tally: Counter = Counter()
+    for p, t in iter_cells(spec, a, d, tally, normalize=False, reject=below_hypothesis):
+        record, reason = _scan_cell(spec, p, t)
+        tally[reason or "analyzed"] += 1
+        if record is not None:
+            records.append(record)
+    return records, tally
+
+
+def _verify_reject(p: AagParams, t: EuclidTable):
+    if p.k < 2:  # pf_tilde's closed form needs k >= 2
+        return "KBelowTwo"
+    return None if t.hypothesis_ok else "HypothesisViolated"
 
 
 def _verify_chunk(task):
-    """Worker: run the verification battery on one (a, d) pair's cells."""
+    """Worker: the battery on one (a, d) pair -> (first failures, skip
+    reasons plus ``"checked"`` and ``"mismatches"``)."""
     spec, a, d, invert = task
-    checked = skipped = mismatches = 0
     failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
-    for c in _c_values(spec):
-        for k in _span(spec.k_range):
-            for h in _span(spec.h_range):
-                if k < 2:  # pf_tilde's closed form needs k >= 2
-                    skipped += 1
-                    continue
-                try:
-                    p = validate_params(a, d, h, k, c, check_minimality=False)
-                except AagError:
-                    skipped += 1
-                    continue
-                t = build_table(p)
-                if not t.hypothesis_ok:
-                    skipped += 1
-                    continue
-                if not oracle.is_minimal_generating(list(p.generators)):
-                    skipped += 1
-                    continue
-                problems = verify_tuple(p, t, invert_frobenius=invert)
-                checked += 1
-                if problems:
-                    mismatches += 1
-                    if len(failures) < 5:
-                        failures.append(((a, d, c, k, h), problems))
-    return checked, skipped, mismatches, failures
+    tally: Counter = Counter()
+    for p, t in iter_cells(spec, a, d, tally, normalize=True, reject=_verify_reject):
+        problems = verify_tuple(p, t, invert_frobenius=invert)
+        tally["checked"] += 1
+        if problems:
+            tally["mismatches"] += 1
+            if len(failures) < 5:
+                failures.append(((a, d, p.c, p.k, p.h), problems))
+    return failures, tally
+
+
+def _merge_chunks(results) -> tuple[list, Counter]:
+    """Concatenate the workers' items in submission order and add their tallies."""
+    items: list = []
+    tally: Counter = Counter()
+    for chunk_items, chunk_tally in results:
+        items.extend(chunk_items)
+        tally.update(chunk_tally)
+    return items, tally
 
 
 def _run_chunks(worker, tasks, workers: int) -> list:
@@ -327,15 +328,8 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     try:
         tasks = [(spec, a, d) for a, d in _grid_chunks(spec)]
-        results = _run_chunks(_scan_chunk, tasks, args.workers)
-
-        records: list[dict] = []
-        skips: Counter = Counter()
-        analyzed = 0
-        for chunk_records, chunk_skips, chunk_analyzed in results:
-            records.extend(chunk_records)
-            skips.update(chunk_skips)
-            analyzed += chunk_analyzed
+        records, skips = _merge_chunks(_run_chunks(_scan_chunk, tasks, args.workers))
+        analyzed = skips.pop("analyzed", 0)
 
         if args.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
@@ -376,19 +370,13 @@ def cmd_verify(args) -> int:
     print(f"grid: {total} tuples", file=sys.stderr)
 
     tasks = [(spec, a, d, args.self_test_invert) for a, d in _grid_chunks(spec)]
-    results = _run_chunks(_verify_chunk, tasks, args.workers)
+    failures, tally = _merge_chunks(_run_chunks(_verify_chunk, tasks, args.workers))
+    checked = tally.pop("checked", 0)
+    mismatches = tally.pop("mismatches", 0)
+    skipped = sum(tally.values())
 
-    checked = skipped = mismatches = 0
-    first_failure = None
-    for chunk_checked, chunk_skipped, chunk_mismatches, chunk_failures in results:
-        checked += chunk_checked
-        skipped += chunk_skipped
-        mismatches += chunk_mismatches
-        if first_failure is None and chunk_failures:
-            first_failure = chunk_failures[0]
-
-    if first_failure is not None:
-        (a, d, c, k, h), problems = first_failure
+    if failures:
+        (a, d, c, k, h), problems = failures[0]
         print(f"first failing tuple: a={a} d={d} c={c} k={k} h={h}", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
@@ -398,9 +386,13 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def _analyze_report(args) -> tuple[dict, AagParams, EuclidTable]:
-    p = validate_params(args.a, args.d, args.h, args.k, args.c)
-    t = build_table(p)
+def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable]:
+    """Validate the --a/--d/--h/--k/--c tuple and build its table."""
+    p = validate_params(args.a, args.d, args.h, args.k, args.c, normalize=normalize)
+    return p, build_table(p)
+
+
+def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
     cls = classify_with_fast_path(p) if args.fast else classify(p)
 
     if cls.verdict != VERDICT_ORACLE_ONLY:
@@ -446,26 +438,23 @@ def _analyze_report(args) -> tuple[dict, AagParams, EuclidTable]:
     if args.oracle_verify:
         rep = oracle.oracle_report(list(p.generators))
         report["oracle_agrees"] = _oracle_agrees(cls, rep) and list(rep.pf) == pf_list
-    return report, p, t
+    return report
 
 
 def cmd_analyze(args) -> int:
+    p, t = _load_tuple(args)
     if args.apery:
-        p = validate_params(args.a, args.d, args.h, args.k, args.c)
-        t = build_table(p)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("y", "z", "phi"))
         for pt, value in zip(iter_apery_points(t), apery_values(p, t)):
             writer.writerow((pt.y, pt.z, value))
         return EXIT_OK
     if args.grobner:
-        p = validate_params(args.a, args.d, args.h, args.k, args.c)
-        t = build_table(p)
         for binomial in family_A(p) + families_BCD(p, t):
             print(binomial)
         return EXIT_OK
 
-    report, p, t = _analyze_report(args)
+    report = _analyze_report(args, p, t)
     if args.json:
         print(json.dumps(_enc(report), indent=2))
         return EXIT_OK
@@ -492,10 +481,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
-    p = validate_params(
-        args.a, args.d, args.h, args.k, args.c, normalize=not args.raw
-    )
-    t = build_table(p)
+    _, t = _load_tuple(args, normalize=not args.raw)
     print(format_table(t))
     print(
         f"tilde: sigma={t.tilde_sigma} rho={t.tilde_rho} "
@@ -585,7 +571,10 @@ def _build_parser() -> _Parser:
     scan.add_argument(
         "--hypothesis-only",
         action="store_true",
-        help="drop tuples whose pivot has r' < h before analysis",
+        help=(
+            "drop tuples whose pivot has r' < h before analysis; stricter than the "
+            "staircase hypothesis, which also holds when k | s_mu"
+        ),
     )
     scan.add_argument("--oracle-verify", action="store_true", help="cross-check every record against the oracle")
     scan.add_argument("--fast-only", action="store_true", help="use only the quadratic fast path")

@@ -69,9 +69,6 @@ class Monomial:
             raise NonsenseInput("monomial arities differ")
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     def __str__(self) -> str:
         parts = []
         for i, e in enumerate(self.exponents):

@@ -26,12 +26,12 @@ every element sits in I with the claimed leading term, and that the plane
 monomials not divisible by any leading term are exactly the Apery
 staircase — a complete certificate, because φ is injective on standard
 monomials and a monomial algebra has exactly |Ap| = a standard residues.
-Monomials involving two of x_1..x_{k-1} (or one squared) are always
-divisible by the corresponding A-lead, so the check stays inside the
-plane.  There, a plane lead at y0 = α0·k + i0 and height ζ divides M(y, z)
-exactly when y // k >= α0, i0 is 0 or y mod k, and z >= ζ, so the standard
-monomials of column y are the z below a height H(y), the least ζ over the
-leads covering y.  Divisibility propagates along M(y+k, z) = x_k M(y, z),
+It requires every x_i x_j (1 <= i <= j <= k-1) to be a lead, so a
+monomial involving two of x_1..x_{k-1} (or one squared) is never
+standard, and the check stays inside the plane.  There, a plane lead at
+y0 = α0·k + i0 and height ζ divides M(y, z) exactly when y // k >= α0,
+i0 is 0 or y mod k, and z >= ζ, so the standard monomials of column y
+are the z below a height H(y), the least ζ over the leads covering y.  Divisibility propagates along M(y+k, z) = x_k M(y, z),
 so comparing H on the columns y < s_μ + k with the staircase heights
 followed by k zeros settles the whole quadrant.
 """
@@ -186,31 +186,36 @@ def certify_basis(
     """Certify that A∪B∪C∪D is a Groebner basis of the defining ideal.
 
     Returns True iff every element kernel-checks with the constructed
-    monomial as its true leading term, |A| = k(k-1)/2, and the column
-    heights H(y) of the standard plane monomials are the staircase heights
-    on y < s_μ followed by k zeros, summing to a.  ``basis`` overrides the
-    generating set, which lets tests confirm that corrupted sets fail.
+    monomial as its true leading term, every x_i x_j (1 <= i <= j <= k-1)
+    is a lead, and the column heights H(y) of the standard plane monomials
+    are the staircase heights on y < s_μ followed by k zeros, summing to a.
+    ``basis`` overrides the generating set, which lets tests confirm that
+    corrupted sets fail.
     """
     if not table.hypothesis_ok:
         raise HypothesisViolated("certification requires the staircase hypothesis")
     k = params.k
     if basis is None:
-        fam_a = family_A(params)
-        if len(fam_a) != k * (k - 1) // 2:
-            return False
-        basis = fam_a + families_BCD(params, table)
+        basis = family_A(params) + families_BCD(params, table)
     for b in basis:
         if not kernel_check(b, params):
             return False
         if order_key(b.lead, params) <= order_key(b.tail, params):
             return False
 
-    leads = []
+    leads, unit_pairs = [], set()
     for b in basis:
+        exps = b.lead.exponents
+        if sum(exps[1:k]) >= 2:  # two unit factors: divides no plane monomial
+            if sum(exps) == 2:
+                unit_pairs.add(exps)  # x_i x_j, an A lead
+            continue
         try:
             leads.append(monomial_to_point(b.lead, k))
         except NotStandardForm:
-            continue  # has x0 or two unit factors: divides no plane monomial
+            continue  # has x0: divides no plane monomial
+    if len(unit_pairs) != k * (k - 1) // 2:
+        return False
     profile = [height for lo, hi, height in rectangles(table) for _ in range(lo, hi)]
     heights = _column_heights(leads, k, len(profile) + k)
     return heights == profile + [0] * k and sum(profile) == params.a

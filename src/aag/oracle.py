@@ -180,47 +180,6 @@ def _apery_dijkstra(gens: list[int], m: int) -> list[int]:
     return dist  # type: ignore[return-value]
 
 
-def frobenius_oracle(generators: Sequence[int], modulus: int | None = None) -> int:
-    """Frobenius number: largest integer outside the semigroup (-1 for N)."""
-    return oracle_report(generators, modulus).frobenius
-
-
-def membership(
-    x: int,
-    generators: Sequence[int],
-    apery: Sequence[int] | None = None,
-    modulus: int | None = None,
-) -> bool:
-    """Does x belong to the semigroup generated by ``generators``?
-
-    Pass a precomputed ``apery`` table (with its ``modulus``) to amortise
-    repeated queries.
-    """
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise NonsenseInput(f"membership query for non-integer {x!r}")
-    if x < 0:
-        return False
-    if x == 0:
-        return True
-    gens = _clean_generators(generators)
-    if apery is None:
-        modulus = min(gens) if modulus is None else modulus
-        apery = apery_oracle(gens, modulus)
-    elif modulus is None:
-        modulus = len(apery)
-    return apery[x % modulus] <= x
-
-
-def pf_oracle(generators: Sequence[int], modulus: int | None = None) -> list[int]:
-    """Sorted pseudo-Frobenius numbers, via maximal elements of the Apery set."""
-    return list(oracle_report(generators, modulus).pf)
-
-
-def genus(generators: Sequence[int], modulus: int | None = None) -> int:
-    """Number of gaps: non-negative integers outside the semigroup."""
-    return oracle_report(generators, modulus).genus
-
-
 def is_minimal_generating(generators: Sequence[int]) -> bool:
     """Is the given list a minimal generating system of its semigroup?
 
@@ -246,11 +205,6 @@ def is_minimal_generating(generators: Sequence[int]) -> bool:
             if v > 0 and table[v % m] <= v:
                 return False
     return True
-
-
-def almost_symmetric_oracle(generators: Sequence[int], modulus: int | None = None) -> bool:
-    """Pairing criterion f_i + f_{t-i} = F on the sorted pseudo-Frobenius numbers."""
-    return oracle_report(generators, modulus).almost_symmetric
 
 
 def oracle_report(generators: Sequence[int], modulus: int | None = None) -> OracleReport:

@@ -4,6 +4,7 @@ import json
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from importlib.resources import files
 
 import jsonschema
@@ -95,6 +96,21 @@ class TestExitCodes:
         assert err.splitlines()[1:] == [
             f"aag scan: error: cannot write --out {missing}: No such file or directory"
         ]
+
+    def test_verify_runs_through_the_module_level_worker(self, capsys, monkeypatch):
+        # The worker is looked up on the module at call time, so a wrapper
+        # installed there (as a tracer does) sees every chunk.
+        seen = []
+
+        def fake_chunk(task):
+            seen.append(task[1:3])
+            return [], Counter(checked=1)
+
+        monkeypatch.setattr("aag.cli._verify_chunk", fake_chunk)
+        code, out, _ = run_cli(capsys, "verify", *SMALL_GRID)
+        assert code == EXIT_OK
+        assert seen == [(a, d) for a in range(10, 26) for d in range(-2, 3)]
+        assert json.loads(out) == {"checked": len(seen), "skipped": 0, "mismatches": 0}
 
     def test_gcd_violation_exits_2_with_reason(self, capsys):
         code, out, _ = run_cli(
@@ -292,6 +308,51 @@ class TestScan:
         assert "skips by reason:" in err
         assert "NonsenseInput" in err  # d = 0 cells
 
+    @pytest.mark.parametrize(
+        "flags,emitted,analyzed,skipped,reasons",
+        [
+            ((), 42, 1428, 2732, {"GcdViolation": 832, "NonsenseInput": 832, "NotMinimal": 1068}),
+            (
+                ("--hypothesis-only",), 38, 1258, 2902,
+                {"GcdViolation": 832, "HypothesisFiltered": 413, "NonsenseInput": 832, "NotMinimal": 825},
+            ),
+        ],
+    )
+    def test_small_grid_tallies(self, capsys, flags, emitted, analyzed, skipped, reasons):
+        code, out, err = run_cli(capsys, "scan", *SMALL_GRID, "--explain-skips", *flags)
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == emitted
+        assert err.splitlines() == [
+            "grid: 4160 tuples",
+            f"emitted {emitted} records; analyzed {analyzed}; skipped {skipped}",
+            "skips by reason:",
+            *(f"  {reason}: {n}" for reason, n in reasons.items()),
+        ]
+        _, out_all, _ = run_cli(capsys, "scan", *SMALL_GRID, "--all", *flags)
+        assert len(out_all.splitlines()) == analyzed
+
+    def test_hypothesis_only_is_stricter_than_the_hypothesis(self, capsys):
+        # r'_mu < h here, but rho_mu = 0 (k | s_mu), so the staircase
+        # hypothesis holds and the tuple is an almost-symmetric record.
+        cell = (
+            "--a-min", "164", "--a-max", "164", "--d-min=-1", "--d-max=-1",
+            "--c-min", "185", "--c-max", "185", "--k-min", "19", "--k-max", "19",
+            "--h-min", "4", "--h-max", "4", "--explain-skips",
+        )
+        code, out, err = run_cli(capsys, "scan", *cell, "--oracle-verify")
+        assert code == EXIT_OK
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert (record["family"], record["hypothesis_ok"]) == ("Thm5.4-(ii)", True)
+        assert record["oracle_agrees"] is True
+        code, out, err = run_cli(capsys, "scan", *cell, "--hypothesis-only")
+        assert code == EXIT_OK
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            "emitted 0 records; analyzed 0; skipped 1",
+            "skips by reason:",
+            "  HypothesisFiltered: 1",
+        ]
+
     def test_hypothesis_only_filters(self, capsys):
         _, _, err_all = run_cli(capsys, "scan", *SMALL_GRID, "--all")
         _, _, err_hyp = run_cli(capsys, "scan", *SMALL_GRID, "--all", "--hypothesis-only")
@@ -318,6 +379,12 @@ class TestVerify:
         assert counts["checked"] > 100
         assert counts["skipped"] > 0
         assert "grid:" in err
+
+    @pytest.mark.parametrize("flags,mismatches", [((), 0), (("--self-test-invert",), 1307)])
+    def test_small_grid_tallies(self, capsys, flags, mismatches):
+        code, out, _ = run_cli(capsys, "verify", *SMALL_GRID, *flags)
+        assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
+        assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
 
     def test_k_below_two_is_skipped(self, capsys):
         grid = (

@@ -199,6 +199,14 @@ class TestCertification:
         assert len(dropped) == len(basis) - 1
         assert not certify_basis(ex1, t, basis=dropped)
 
+    def test_missing_a_elements_fail(self, ex1):
+        t = build_table(ex1)
+        fam_a, bcd = family_A(ex1), families_BCD(ex1, t)
+        assert len(fam_a) == 190
+        assert not certify_basis(ex1, t, basis=bcd)
+        for i, b in enumerate(fam_a):
+            assert not certify_basis(ex1, t, basis=fam_a[:i] + fam_a[i + 1 :] + bcd), str(b)
+
     def test_worked_examples(self, ex1, ex2_raw, ex2_normalized):
         for p in (ex1, ex2_raw, ex2_normalized):
             assert certify_basis(p, build_table(p))

@@ -17,14 +17,9 @@ from aag.errors import NonPositiveGenerator, NonsenseInput, NotCoprime
 from aag.oracle import (
     _apery_dijkstra,
     _apery_numpy,
-    almost_symmetric_oracle,
     apery_oracle,
-    frobenius_oracle,
-    genus,
     is_minimal_generating,
-    membership,
     oracle_report,
-    pf_oracle,
 )
 
 
@@ -32,37 +27,39 @@ class TestFrozenClassics:
     def test_three_five(self):
         # <3,5>: 0,3,5,6,8,9,10,...; gaps 1,2,4,7.
         assert apery_oracle([3, 5]) == [0, 10, 5]
-        assert frobenius_oracle([3, 5]) == 7
-        assert pf_oracle([3, 5]) == [7]
-        assert genus([3, 5]) == 4
+        rep = oracle_report([3, 5])
+        assert rep.frobenius == 7
+        assert rep.pf == (7,)
+        assert rep.genus == 4
 
     def test_max_embedding_dim(self):
         # <5,6,7,8,9>: every positive integer from 5 on.
         assert apery_oracle([5, 6, 7, 8, 9]) == [0, 6, 7, 8, 9]
-        assert pf_oracle([5, 6, 7, 8, 9]) == [1, 2, 3, 4]
-        assert frobenius_oracle([5, 6, 7, 8, 9]) == 4
-        assert genus([5, 6, 7, 8, 9]) == 4
+        rep = oracle_report([5, 6, 7, 8, 9])
+        assert rep.pf == (1, 2, 3, 4)
+        assert rep.frobenius == 4
+        assert rep.genus == 4
 
     def test_naturals(self):
         assert apery_oracle([1]) == [0]
-        assert frobenius_oracle([1]) == -1
-        assert pf_oracle([1]) == [-1]
-        assert genus([1]) == 0
         rep = oracle_report([1])
+        assert rep.frobenius == -1
+        assert rep.pf == (-1,)
+        assert rep.genus == 0
         assert rep.symmetric and rep.almost_symmetric and rep.type == 1
 
     def test_pseudo_symmetric_345(self):
         # <3,4,5>: gaps 1, 2; PF = {1, 2}; 1+1 = 2 = F so almost symmetric.
         assert apery_oracle([3, 4, 5]) == [0, 4, 5]
-        assert pf_oracle([3, 4, 5]) == [1, 2]
-        assert almost_symmetric_oracle([3, 4, 5])
         rep = oracle_report([3, 4, 5])
+        assert rep.pf == (1, 2)
         assert rep.type == 2 and not rep.symmetric and rep.almost_symmetric
 
     def test_not_almost_symmetric(self):
         # <3,7,8>: PF = {4,5}, and 4+4 != 5.
-        assert pf_oracle([3, 7, 8]) == [4, 5]
-        assert not almost_symmetric_oracle([3, 7, 8])
+        rep = oracle_report([3, 7, 8])
+        assert rep.pf == (4, 5)
+        assert not rep.almost_symmetric
 
     def test_modulus_override(self):
         # Apery of <2,3> with respect to 4 (4 = 2+2 lies in the semigroup).
@@ -81,25 +78,11 @@ class TestTwoGeneratorFormulas:
     def test_frobenius_genus_type(self, p, q):
         if math.gcd(p, q) != 1:
             return
-        gens = sorted({p, q})
-        assert frobenius_oracle(gens) == p * q - p - q
-        assert genus(gens) == (p - 1) * (q - 1) // 2
-        assert pf_oracle(gens) == [p * q - p - q]
-        assert almost_symmetric_oracle(gens)  # symmetric, so vacuously
-
-
-class TestMembership:
-    def test_basic(self):
-        assert membership(0, [3, 5])
-        assert membership(8, [3, 5])
-        assert not membership(7, [3, 5])
-        assert not membership(-3, [3, 5])
-        assert membership(10 ** 9, [3, 5])
-
-    def test_precomputed_table(self):
-        table = apery_oracle([3, 5])
-        assert membership(6, [3, 5], apery=table)
-        assert not membership(4, [3, 5], apery=table)
+        rep = oracle_report(sorted({p, q}))
+        assert rep.frobenius == p * q - p - q
+        assert rep.genus == (p - 1) * (q - 1) // 2
+        assert rep.pf == (p * q - p - q,)
+        assert rep.almost_symmetric  # symmetric, so vacuously
 
 
 class TestMinimality:
