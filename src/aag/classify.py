@@ -619,10 +619,17 @@ def family_generate(family: str, params: dict[str, int]) -> AagParams:
 # ---------------------------------------------------------------------------
 
 
-def classify(p: AagParams) -> Classification:
-    """Classify a validated tuple via the Euclidean table and the families."""
-    p = _raw_presentation(p)
-    t = build_table(p)
+def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
+    """Classify a validated tuple via the Euclidean table and the families.
+
+    ``t`` is the caller's table of ``p``; it is reused unless ``p`` is the
+    rewritten d < 0, h = 1 presentation, whose table is not the one the
+    families are matched on.
+    """
+    raw = _raw_presentation(p)
+    if t is None or raw is not p:
+        t = build_table(raw)
+    p = raw
     if p.k < 3 or not t.hypothesis_ok:
         report = oracle.oracle_report(list(p.generators))
         return Classification(

@@ -11,7 +11,10 @@ table     just the negative-remainder division table for one tuple
 oracle    brute-force report for an explicit generator list
 
 Exit codes: 0 success, 1 verification mismatch, 2 validation error,
-64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see ``oracle``).
+64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see ``oracle``), so
+it limits the routes that need the oracle (``OracleOnly`` tuples, ``aag
+oracle``, ``--oracle-verify`` and ``aag verify``); minimality is checked in
+closed form.  It also caps the table length and the ``--apery`` dump.
 
 Serialization: scans emit JSON-lines (or CSV with the fixed header
 ``a,d,c,k,h,verdict,family,l,p,sigma,r,type,frobenius,fast_path,
@@ -46,8 +49,8 @@ from .classify import (
     classify_with_fast_path,
     fast_path,
 )
-from .core import AagParams, validate_params
-from .errors import AagError, AmbiguousFastPath
+from .core import AagParams, is_minimal, validate_params
+from .errors import AagError, AmbiguousFastPath, NonsenseInput
 from .euclid import EuclidTable, build_table, format_table
 from .grobner import families_BCD, family_A
 from .pseudofrob import pf_tilde
@@ -169,7 +172,7 @@ def iter_cells(spec: ScanSpec, a: int, d: int, skips: Counter, *, normalize: boo
 
     A cell is dropped, and counted in ``skips`` under the reason, when it
     fails validation (the error's class name), when ``reject(p, t)`` names
-    a reason, or when it is not minimal; that oracle check runs last, so
+    a reason, or when it is not minimal; the minimality check runs last, so
     rejected cells never pay for it.
     """
     for c in _c_values(spec):
@@ -182,7 +185,7 @@ def iter_cells(spec: ScanSpec, a: int, d: int, skips: Counter, *, normalize: boo
                     continue
                 t = build_table(p)
                 reason = reject(p, t)
-                if reason is None and not oracle.is_minimal_generating(list(p.generators)):
+                if reason is None and not is_minimal(p):
                     reason = "NotMinimal"
                 if reason is not None:
                     skips[reason] += 1
@@ -210,7 +213,7 @@ def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
         if cls is None:
             return None, None
     else:
-        cls = classify(p)
+        cls = classify(p, t)
         if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not spec.emit_all:
             return None, None
     solved = cls.solved or {}
@@ -393,7 +396,7 @@ def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable
 
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
-    cls = classify_with_fast_path(p) if args.fast else classify(p)
+    cls = classify_with_fast_path(p) if args.fast else classify(p, t)
 
     if cls.verdict != VERDICT_ORACLE_ONLY:
         pf = pf_tilde(p, t)
@@ -444,6 +447,12 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
 def cmd_analyze(args) -> int:
     p, t = _load_tuple(args)
     if args.apery:
+        cap = oracle.max_modulus()
+        if p.a > cap:
+            # One line per Apery element, a lines, built as one list.
+            raise NonsenseInput(
+                f"--apery prints a = {p.a} lines, above the cap {cap} (set AAG_MAX_A to raise it)"
+            )
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("y", "z", "phi"))
         for pt, value in zip(iter_apery_points(t), apery_values(p, t)):

@@ -5,7 +5,9 @@ a, ha+d, ha+2d, ..., ha+kd together with one extra generator c, subject to
 gcd(a, d) = 1, all generators positive, and the list being a *minimal*
 generating system (embedding dimension k+2).  ``validate_params`` is the one
 gate every entry point goes through; everything downstream may assume its
-invariants.
+invariants.  Minimality is decided in closed form by ``is_minimal``, in
+time that does not grow with a; the brute-force oracle referees it in the
+tests and in ``aag verify``.
 
 When d < 0 and h = 1 the arithmetic part a, a+d, ..., a+kd is the same set
 read backwards from a+kd, so the tuple is rewritten to (a+kd, -d) with the
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle
 from .errors import (
     GcdViolation,
     NonPositiveGenerator,
@@ -111,9 +112,9 @@ def validate_params(
     Checks, in order: basic shape (positive a, h, k, c and nonzero integer
     d); the d<0, h=1 rewrite (applied before further checks when
     ``normalize`` is on); positivity of every generator; gcd(a, d) = 1 and
-    gcd of all generators = 1; and minimality of the generating system via
-    the oracle (skippable with ``check_minimality=False`` for callers that
-    have already established it).
+    gcd of all generators = 1; and minimality of the generating system by
+    ``is_minimal`` (skippable with ``check_minimality=False`` for callers
+    that check it later or not at all).
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.
     """
@@ -142,11 +143,203 @@ def validate_params(
         # Unreachable given gcd(a, d) = 1, but the invariant is cheap to state.
         raise GcdViolation(f"gcd of generators is {math.gcd(*gens)}")
 
-    if check_minimality and not oracle.is_minimal_generating(list(gens)):
+    p = AagParams(a=a, d=d, h=h, k=k, c=c, generators=gens, normalized=normalized)
+    if check_minimality and not is_minimal(p):
         raise NotMinimal(
             f"generators {gens} are not a minimal system (embedding dimension < k+2)"
         )
-    return AagParams(a=a, d=d, h=h, k=k, c=c, generators=gens, normalized=normalized)
+    return p
+
+
+def _arithmetic_apery(a: int, d: int, h: int, k: int):
+    """Apery function of T = <a, ha+d, ..., ha+kd> with respect to a.
+
+    Returns ``w`` with ``w(r)`` the least element of T congruent to r mod
+    a, so x is in T exactly when x >= w(x mod a).  Needs gcd(a, d) = 1 and,
+    when d < 0, h >= 2 (the d < 0, h = 1 set is rewritten by the caller).
+
+    A sum of t generators ha+i*d is t*ha + J*d with t <= J <= t*k, and its
+    residue is J*d mod a; for a given J the least t is ceil(J/k).  So w(r)
+    is the least ceil(J/k)*ha + J*d over J = j + m*a, m >= 0, where
+    j = r * d^-1 mod a.  For d > 0 that cost grows with J and m = 0 wins.
+
+    For d < 0 the cost ceil(J/k)*ha - J*|d| is not monotone, and the
+    bound is m < k.  If the least sum of a class had t > a summands, then
+    t - a summands with index sum J - a*k (which lies in [t - a, (t - a)*k]
+    because J > (t - 1)*k) would give a sum in the same class that is
+    smaller by a*(ha + kd) > 0.  So t <= a, J <= a*k and m < k (j = 0 is
+    the empty sum).  When h * (a // k) >= |d|, m = 0 wins outright:
+    ceil((J + m*a)/k) - ceil(J/k) >= m * (a // k), so the cost rises by at
+    least m * a * (h * (a // k) - |d|) >= 0.  That covers every a >= k*|d|.
+    """
+    d_inv = pow(d, -1, a)
+    ha = h * a
+    if d > 0 or h * (a // k) >= -d:
+
+        def w(r: int) -> int:
+            j = r * d_inv % a
+            return -(-j // k) * ha + j * d
+
+        return w
+
+    def w_window(r: int) -> int:
+        j = r * d_inv % a
+        return min(-(-J // k) * ha + J * d for J in range(j, j + k * a, a))
+
+    return w_window
+
+
+#: A membership search of up to this many steps per translate runs step by
+#: step; a longer one runs ``_floor_path_min`` (see ``_triple_member``).
+_SHORT_SEARCH = 64
+
+
+def _floor_path_min(p: int, q: int, r: int, n: int, A: int, D: int) -> int | None:
+    """Least A*i - D*((p*i + r) // q) over 1 <= i <= n (None when n = 0).
+
+    Needs 0 <= r < q.  The universal Euclidean algorithm: the lattice path
+    of y = (p*i + r) // q, read as a word of "up" and "right" steps, is a
+    product of O(log q) powers of two letters, and a path segment is
+    summarized by (right steps, up steps, least A*x - D*y at a right step
+    relative to its start), which multiplies associatively.
+    """
+    identity = (0, 0, None)
+
+    def mul(s, t):
+        if t[2] is None:
+            least = s[2]
+        else:
+            shifted = A * s[0] - D * s[1] + t[2]
+            least = shifted if s[2] is None else min(s[2], shifted)
+        return (s[0] + t[0], s[1] + t[1], least)
+
+    def power(s, e):
+        out = identity
+        while e:
+            if e & 1:
+                out = mul(out, s)
+            s = mul(s, s)
+            e >>= 1
+        return out
+
+    def word(p, q, r, n, up, right):
+        if n == 0:
+            return identity
+        if p >= q:
+            return word(p % q, q, r, n, up, mul(power(up, p // q), right))
+        m = (p * n + r) // q
+        if m == 0:
+            return power(right, n)
+        head = mul(power(right, (q - r - 1) // p), up)
+        middle = word(q, p, (q - r - 1) % p, m - 1, right, up)
+        return mul(mul(head, middle), power(right, n - (q * m - r - 1) // p))
+
+    return word(p, q, r, n, (0, 1, None), (1, 0, A))[2]
+
+
+def _triple_member(top: int, bottom: int, c: int):
+    """Membership test for <top, bottom, c>: is y - q*top in <bottom, c>?
+
+    With g = gcd(bottom, c), bottom = g*b and c = g*m, the remainder must
+    be a multiple of g, which fixes q modulo period = g / gcd(top, g):
+    q = q0 + n*period, and z_n = (y - q*top) / g = z - n*step.  Then z_n
+    is in <b, m> exactly when the least u >= 0 with u*b = z_n (mod m) has
+    u*b <= z_n, that is when F(n) = n*step + b*((alpha + n*beta) mod m)
+    is at most z, with alpha = z/b and beta = -step/b, both mod m.  Up to
+    ``_SHORT_SEARCH`` values of n are tried one by one.  Beyond that,
+    (alpha + n*beta) mod m = alpha + n*beta - m*((n*beta + alpha) // m)
+    turns min F into ``_floor_path_min``, in O(log^2 m) steps.
+    """
+    g = math.gcd(bottom, c)
+    b, m = bottom // g, c // g
+    b_inv = pow(b, -1, m)
+    g_top = math.gcd(top, g)
+    period = g // g_top
+    top_inv = pow(top // g_top, -1, period)
+    step = top // g_top
+
+    def member(y: int) -> bool:
+        if y < 0 or y % g_top:
+            return False
+        q0 = (y // g_top) * top_inv % period
+        if q0 * top > y:
+            return False
+        z = (y - q0 * top) // g
+        n_max = (y // top - q0) // period
+        if n_max < _SHORT_SEARCH:
+            return any(
+                (z - n * step) * b_inv % m * b <= z - n * step for n in range(n_max + 1)
+            )
+        alpha = z * b_inv % m
+        beta = -step * b_inv % m
+        least = _floor_path_min(beta, m, alpha, n_max, step + b * beta, b * m)
+        return b * alpha + min(0, least) <= z
+
+    return member
+
+
+def is_minimal(p: AagParams) -> bool:
+    """Are the k+2 generators a minimal generating system of S?
+
+    Equals ``oracle.is_minimal_generating(list(p.generators))`` on every
+    validated tuple, in time that does not grow with a.  A duplicate
+    generator, or a generator equal to 1, makes the system redundant.
+    Otherwise a generator g is redundant exactly when g - g' lies in S for
+    a smaller generator g' (the pair criterion of the oracle), so only the
+    distinct positive differences are tested: m*|d| for 1 <= m < k, the
+    |g_i - a| and the |c - g| for g in the arithmetic part A, at most 3k
+    values.  A difference below the smallest generator is never in S.
+
+    Membership in S = T + N*c, with T = <A>, uses one of two searches:
+
+    * x - m*c in T for some m <= min(x // c, min(A) - 1), each test O(1)
+      through the Apery function of T (see ``_arithmetic_apery``).  A
+      witness with m < min(A) exists because c*g is in T for g in A.
+      This search runs when it takes at most k * min(x // G + 1, 64)
+      steps, G = max(a, ha+kd); it takes one step when x < c.
+    * Otherwise, x - g_i in <G, B, c> for some 0 <= i < k (g_0 = 0), with
+      B = min(a, ha+kd).  Every Apery element of T is 0 or
+      (t-1)*(ha+kd) + g_i with 1 <= i <= k, so S is the union of the
+      translates g_i + <a, ha+kd, c>.  ``_triple_member`` answers each
+      translate in at most 64 steps or O(log^2) Euclidean steps.
+
+    So a difference costs O(k * 64 + k * log^2 c) integer operations (times
+    k for the d < 0 window of ``_arithmetic_apery`` when a < k*|d|/h),
+    whatever a and h are.
+    """
+    gens = p.generators
+    if len(set(gens)) != len(gens) or 1 in gens:
+        return False
+    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
+    if d < 0 and h == 1:
+        # The raw presentation lists the same set from the other end.
+        a, d = a + k * d, -d
+    arithmetic = [a, *(h * a + i * d for i in range(1, k + 1))]
+    top, bottom = max(a, arithmetic[-1]), min(a, arithmetic[-1])
+    smallest = min(gens)
+    apery = _arithmetic_apery(a, d, h, k)
+    in_triple = _triple_member(top, bottom, c)
+    smallest_in_a = min(arithmetic)
+    translates = sorted((0, *arithmetic[1:-1]))
+
+    def in_s(x: int) -> bool:
+        by_c = min(x // c, smallest_in_a - 1) + 1
+        if by_c <= k * min(x // top + 1, _SHORT_SEARCH):
+            for y in range(x, x - by_c * c, -c):
+                if y >= apery(y):
+                    return True
+            return False
+        for g in translates:
+            if g > x:
+                break
+            if in_triple(x - g):
+                return True
+        return False
+
+    differences = {m * abs(d) for m in range(1, k)}
+    differences.update(abs(g - a) for g in arithmetic[1:])
+    differences.update(abs(c - g) for g in arithmetic)
+    return not any(in_s(v) for v in differences if v >= smallest)
 
 
 def phi(m: Monomial, p: AagParams) -> int:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from .core import AagParams
 from .errors import NonsenseInput, NoPivot
+from .oracle import max_modulus
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,12 +128,32 @@ def tilde_for_pair(table: EuclidTable, i: int, k: int, h: int) -> tuple[int, int
     return sigma, rho, ell, lo.r - hi.r + h * (sigma + ell)
 
 
+def row_count(a: int, s1: int) -> int:
+    """Number of rows of the table that starts with s_0 = a, s_1 = s1.
+
+    The quotients q_2, q_3, ... are the negative-regular continued
+    fraction of a/s1.  It turns each regular partial quotient a_i of a/s1
+    with i even into one quotient and each a_i with i odd into a_i - 1
+    quotients equal to 2 (Popescu-Pampu, *The geometry of continued
+    fractions and the topology of surface singularities*, 2007), so the
+    count takes O(log a) steps however long the table is.
+    """
+    count, i = 2, 0
+    while s1:
+        quotient = a // s1
+        count += 1 if i % 2 == 0 else quotient - 1
+        a, s1, i = s1, a % s1, i + 1
+    return count
+
+
 def build_table(params: AagParams) -> EuclidTable:
     """Run the negative-rest algorithm for validated parameters.
 
     The full table is retained (all rows down to s = 0): the trailing rows
     feed the consecutive-pair binomial checks even though the pivot region
-    alone determines the Apery set.
+    alone determines the Apery set.  A table has at most a + 1 rows, and
+    one with more than AAG_MAX_A + 1 (see ``oracle.max_modulus``) is
+    refused with ``NonsenseInput`` before it is built.
     """
     a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
     inverse = pow(d % a, -1, a)  # exists because gcd(a, d) = 1
@@ -140,6 +161,12 @@ def build_table(params: AagParams) -> EuclidTable:
     r1, rem = divmod(s1 * d - c, a)
     if rem:
         raise AssertionError("s1 does not solve s*d ≡ c (mod a)")
+    count, cap = row_count(a, s1), max_modulus()
+    if count > cap + 1:
+        raise NonsenseInput(
+            f"the table of (a={a}, d={d}, h={h}, k={k}, c={c}) has {count} rows, "
+            f"above the cap of {cap + 1} (set AAG_MAX_A to raise it)"
+        )
     rows = [_make_row(0, a, 0, d, None, k, h), _make_row(1, s1, 1, r1, None, k, h)]
     while rows[-1].s > 0:
         prev, cur = rows[-2], rows[-1]

@@ -20,7 +20,8 @@ adds (cycle length)*g > 0 to an equal-residue value.
 All intermediate values stay below 2**60 on the numpy path (a minimal class
 representative uses at most m-1 generator copies, hence is < m*max(gen)); if
 m*max(gen) approaches that bound the module falls back to a pure-Python
-Dijkstra with arbitrary-precision integers.
+Dijkstra with arbitrary-precision integers.  numpy is imported by the
+functions that build tables, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonPositiveGenerator, NonsenseInput, NotCoprime
 
 DEFAULT_MAX_MODULUS = 1_000_000
@@ -41,11 +40,15 @@ DEFAULT_MAX_MODULUS = 1_000_000
 # sentinel 2**60 then provably exceeds every candidate value (true values are
 # < m*max(gen) < 2**59, chain extensions add < 2*m*max(gen) < 2**60).
 _NUMPY_SAFE_PRODUCT = 1 << 59
-_INF = np.int64(1) << np.int64(60)
 
 
 def max_modulus() -> int:
-    """Oracle modulus cap: AAG_MAX_A environment variable, default 10**6."""
+    """Size cap: AAG_MAX_A environment variable, default 10**6.
+
+    It caps the oracle modulus, the length of a division table
+    (``euclid.build_table``) and the ``aag analyze --apery`` dump: the
+    computations whose size grows with a.
+    """
     raw = os.environ.get("AAG_MAX_A")
     if raw is None:
         return DEFAULT_MAX_MODULUS
@@ -133,7 +136,9 @@ def apery_oracle(generators: Sequence[int], modulus: int | None = None) -> list[
 
 
 def _apery_numpy(gens: list[int], m: int) -> list[int]:
-    dist = np.full(m, _INF, dtype=np.int64)
+    import numpy as np
+
+    dist = np.full(m, 1 << 60, dtype=np.int64)  # sentinel, see _NUMPY_SAFE_PRODUCT
     dist[0] = 0
     for g in gens:
         step = g % m
@@ -224,6 +229,8 @@ def oracle_report(generators: Sequence[int], modulus: int | None = None) -> Orac
     if m == 1:
         pf = [-1]
     elif m * max(gens) < _NUMPY_SAFE_PRODUCT:
+        import numpy as np
+
         w = np.asarray(table, dtype=np.int64)
         dominated = np.zeros(m, dtype=bool)
         for g in sorted(set(gens)):

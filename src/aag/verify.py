@@ -4,7 +4,8 @@ Four check groups, each returning a list of human-readable violation
 messages (empty means the tuple passed):
 
 * ``closed_form_violations`` -- Apery set, pseudo-Frobenius set and
-  Frobenius number from the closed forms against the brute-force oracle.
+  Frobenius number from the closed forms, and the closed-form minimality
+  check that admitted the tuple, against the brute-force oracle.
 * ``euclid_violations``      -- structural invariants of the Euclidean
   table: the row equation, the three determinant identities, s/p/r'
   monotonicity (and r when d > 0), pivot bracketing, and the
@@ -37,7 +38,11 @@ def closed_form_violations(
     *,
     invert_frobenius: bool = False,
 ) -> list[str]:
-    """Apery / PF / Frobenius closed forms against the oracle.
+    """Apery / PF / Frobenius closed forms and minimality against the oracle.
+
+    Every tuple that reaches the battery passed ``core.is_minimal``; the
+    oracle's Apery table (one table serves every check here) confirms that
+    no positive difference of two generators lies in S.
 
     ``invert_frobenius`` deliberately flips the Frobenius comparison so a
     harness self-test can prove that mismatches are detected and counted.
@@ -48,6 +53,10 @@ def closed_form_violations(
     oracle_apery = sorted(rep.apery)
     if closed_apery != oracle_apery:
         out.append(f"apery mismatch: closed {closed_apery[:6]}... vs oracle {oracle_apery[:6]}...")
+    differences = {g - g2 for g in p.generators for g2 in p.generators if g > g2}
+    in_s = sorted(v for v in differences if rep.apery[v % p.a] <= v)
+    if in_s:
+        out.append(f"minimality mismatch: generator differences {in_s[:6]} lie in S")
     closed_pf = list(pf_tilde(p, t).pf_numbers)
     oracle_pf = list(rep.pf)
     if closed_pf != oracle_pf:
@@ -134,15 +143,18 @@ def grobner_violations(p: AagParams, t: EuclidTable) -> list[str]:
     return out
 
 
-def agreement_violations(p: AagParams, full: Classification | None = None) -> list[str]:
+def agreement_violations(
+    p: AagParams, full: Classification | None = None, t: EuclidTable | None = None
+) -> list[str]:
     """Fast-path route against the full classification route.
 
     Pass a precomputed full-route ``Classification`` to avoid repeating it
-    when the caller already has one.
+    when the caller already has one, or the tuple's table ``t`` for
+    ``classify`` to reuse.
     """
     out = []
     if full is None:
-        full = classify(p)
+        full = classify(p, t)
     try:
         fast = fast_path(p)
     except AmbiguousFastPath as exc:
@@ -176,5 +188,5 @@ def verify_tuple(
     out = closed_form_violations(p, t, invert_frobenius=invert_frobenius)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
-    out += agreement_violations(p)
+    out += agreement_violations(p, t=t)
     return out

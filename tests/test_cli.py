@@ -21,9 +21,13 @@ from aag.cli import (
     _enc,
     _scan_chunk,
     _verify_chunk,
+    iter_cells,
     main,
     spec_total,
 )
+from aag.core import validate_params
+from aag.euclid import build_table
+from aag.verify import closed_form_violations
 
 SCHEMA = json.loads(
     files("aag").joinpath("schemas/scan_record.schema.json").read_text()
@@ -208,6 +212,12 @@ class TestAnalyze:
         gens = [155] + [4 * 155 + i for i in range(1, 21)] + [177]
         assert values == sorted(oracle.apery_oracle(gens, 155))
 
+    def test_apery_dump_above_the_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("AAG_MAX_A", "154")
+        code, out, _ = run_cli(capsys, "analyze", *EX1, "--apery")
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "NonsenseInput"
+
     def test_grobner_dump_format_and_count(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *EX1, "--grobner")
         assert code == EXIT_OK
@@ -331,6 +341,28 @@ class TestScan:
         _, out_all, _ = run_cli(capsys, "scan", *SMALL_GRID, "--all", *flags)
         assert len(out_all.splitlines()) == analyzed
 
+    def test_cells_are_checked_for_minimality_without_the_oracle(self, monkeypatch):
+        spec = ScanSpec(
+            a_range=(10, 25), d_range=(-2, 2), c_range=(5, 30), k_range=(3, 3), h_range=(1, 2)
+        )
+        is_minimal_generating = oracle.is_minimal_generating
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(oracle, "is_minimal_generating", refuse)
+        monkeypatch.setattr(oracle, "apery_oracle", refuse)
+        skips: Counter = Counter()
+        kept = [
+            p
+            for a in range(10, 26)
+            for d in range(-2, 3)
+            for p, _ in iter_cells(spec, a, d, skips, normalize=False, reject=lambda p, t: None)
+        ]
+        monkeypatch.undo()
+        assert (len(kept), skips["NotMinimal"]) == (1428, 1068)
+        assert all(is_minimal_generating(list(p.generators)) for p in kept)
+
     def test_hypothesis_only_is_stricter_than_the_hypothesis(self, capsys):
         # r'_mu < h here, but rho_mu = 0 (k | s_mu), so the staircase
         # hypothesis holds and the tuple is an almost-symmetric record.
@@ -385,6 +417,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *SMALL_GRID, *flags)
         assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
         assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
+
+    def test_battery_flags_a_redundant_generator(self):
+        # 61 = 30 + 31: what the battery reports if closed-form minimality
+        # ever kept such a tuple.
+        p = validate_params(30, 1, 1, 3, 61, check_minimality=False)
+        problems = closed_form_violations(p, build_table(p))
+        assert problems == ["minimality mismatch: generator differences [30, 31] lie in S"]
 
     def test_k_below_two_is_skipped(self, capsys):
         grid = (
@@ -466,6 +505,31 @@ class TestTableAndOracle:
         assert doc["modulus"] == 10
         assert len(doc["apery"]) == 10
 
+    def test_analyze_answers_past_the_oracle_cap(self, capsys):
+        # Smallest generator a ~ 10**9: minimality, table, PF and verdict
+        # are all closed form.
+        code, out, _ = run_cli(
+            capsys, "analyze", "--a", "999999937", "--d", "1861391", "--h", "4",
+            "--k", "20", "--c", "73325467808", "--json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["type"], len(doc["pf"])) == ("NeitherSpecial", 4, 4)
+        assert doc["pf"][-1] == doc["frobenius"]
+
+    def test_long_table_past_the_cap_exits_2(self, capsys, monkeypatch):
+        # c = 3a - 1, d = 1: the table would have a + 1 = 10008 rows.
+        monkeypatch.setenv("AAG_MAX_A", "10000")
+        code, out, _ = run_cli(
+            capsys, "analyze", "--a", "10007", "--d", "1", "--h", "1", "--k", "3", "--c", "30020",
+        )
+        assert code == EXIT_VALIDATION
+        assert json.loads(out) == {
+            "error": "NonsenseInput",
+            "reason": "the table of (a=10007, d=1, h=1, k=3, c=30020) has 10008 rows, "
+            "above the cap of 10001 (set AAG_MAX_A to raise it)",
+        }
+
     def test_oracle_explicit_modulus(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--gens", "10,17,24,31,15", "--modulus", "15")
         assert code == EXIT_OK
@@ -526,3 +590,12 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["frobenius"] == 2168
+
+    def test_import_loads_no_numpy(self):
+        # numpy is needed only where the oracle builds a table.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, aag.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

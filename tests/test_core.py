@@ -1,21 +1,38 @@
-"""Validation, normalization and weighted-degree tests."""
+"""Validation, normalization, closed-form minimality and weighted-degree tests."""
 
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aag.core import AagParams, Monomial, monomial, phi, validate_params
+from aag import core, oracle
+from aag.classify import classify_with_fast_path
+from aag.core import (
+    AagParams,
+    Monomial,
+    _arithmetic_apery,
+    _floor_path_min,
+    _triple_member,
+    is_minimal,
+    monomial,
+    phi,
+    validate_params,
+)
+from aag.euclid import build_table
 from aag.errors import (
+    AagError,
     GcdViolation,
     NonPositiveGenerator,
     NonsenseInput,
     NotMinimal,
 )
-from aag import oracle
+from aag.pseudofrob import pf_tilde
+from aag.staircase import frobenius
 
 
 class TestValidateFrozen:
@@ -118,6 +135,198 @@ class TestGeneratorInvariants:
         assert oracle.is_minimal_generating(list(g))
         if p.d < 0:
             assert p.h >= 2  # after normalization
+
+
+def _unchecked(a, d, h, k, c, normalize=True):
+    return validate_params(a, d, h, k, c, normalize=normalize, check_minimality=False)
+
+
+def _agrees_with_oracle(p: AagParams) -> bool:
+    return is_minimal(p) == oracle.is_minimal_generating(list(p.generators))
+
+
+class TestClosedFormMinimality:
+    """``core.is_minimal`` against the oracle's pair criterion."""
+
+    def test_strided_box_in_both_presentations(self):
+        cases = 0
+        for a in range(1, 48, 4):
+            for d in range(-9, 10, 2):
+                for h in (1, 2, 3):
+                    for k in (1, 2, 3, 5):
+                        for c in range(1, 140, 9):
+                            for normalize in (True, False):
+                                try:
+                                    p = _unchecked(a, d, h, k, c, normalize)
+                                except AagError:
+                                    continue
+                                assert _agrees_with_oracle(p), (a, d, h, k, c, normalize)
+                                cases += 1
+        assert cases > 10_000
+
+    @given(
+        st.integers(1, 90),
+        st.integers(-15, 15),
+        st.integers(1, 5),
+        st.integers(1, 8),
+        st.integers(1, 400),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_tuples(self, a, d, h, k, c, normalize):
+        try:
+            p = _unchecked(a, d, h, k, c, normalize)
+        except AagError:
+            return
+        assert _agrees_with_oracle(p)
+
+    @pytest.mark.parametrize("a,d,h,k", [(3, -1, 3, 4), (2, -1, 4, 5), (3, -2, 4, 4)])
+    def test_negative_d_window_when_a_below_k(self, a, d, h, k):
+        # With a < k the least sum in a residue class can take J = j + m*a
+        # with m > 0, so the m = 0 formula alone is wrong here.
+        w = _arithmetic_apery(a, d, h, k)
+        table = oracle.apery_oracle([a, *(h * a + i * d for i in range(1, k + 1))], a)
+        assert [w(r) for r in range(a)] == table
+        j = [r * pow(d, -1, a) % a for r in range(a)]
+        assert [-(-jr // k) * h * a + jr * d for jr in j] != table
+        for c in range(2, 40):
+            try:
+                p = _unchecked(a, d, h, k, c)
+            except AagError:
+                continue
+            assert _agrees_with_oracle(p), c
+
+    @pytest.mark.parametrize(
+        "args,minimal",
+        [
+            ((30, 1, 1, 3, 7), True),  # c < a
+            ((30, 1, 1, 3, 61), False),  # c = 30 + 31
+            ((30, 1, 1, 3, 31), False),  # c equals the generator a + d
+            ((9, -2, 2, 3, 14), False),  # c equals the generator 2a - 2d
+            ((1, 1, 1, 3, 5), False),  # a = 1
+            ((5, -3, 2, 3, 7), False),  # ha + kd = 1
+            ((3, -1, 2, 3, 7), False),  # ha + 3d = a: a duplicate inside A
+        ],
+    )
+    def test_named_corners(self, args, minimal):
+        p = _unchecked(*args)
+        assert is_minimal(p) is minimal
+        assert _agrees_with_oracle(p)
+
+    def test_raw_negative_d_h1_reads_the_same_set(self):
+        for c in range(2, 60):
+            try:
+                raw = _unchecked(20, -3, 1, 4, c, normalize=False)
+            except AagError:
+                continue
+            rewritten = _unchecked(20, -3, 1, 4, c)
+            assert is_minimal(raw) == is_minimal(rewritten)
+            assert _agrees_with_oracle(raw), c
+
+
+class TestMembershipSearches:
+    """The two searches behind ``is_minimal`` against brute force."""
+
+    def test_floor_path_min(self):
+        rng = random.Random(3)
+        for _ in range(3000):
+            q, p, n = rng.randint(1, 60), rng.randint(0, 150), rng.randint(0, 80)
+            r, A, D = rng.randint(0, q - 1), rng.randint(-50, 50), rng.randint(-50, 50)
+            brute = min((A * i - D * ((p * i + r) // q) for i in range(1, n + 1)), default=None)
+            assert _floor_path_min(p, q, r, n, A, D) == brute, (p, q, r, n, A, D)
+
+    def test_triple_member_matches_a_sieve(self):
+        # Small generators and y up to 1200 reach both the step-by-step and
+        # the Euclidean search.
+        rng = random.Random(5)
+        for _ in range(150):
+            bottom, top = sorted(rng.sample(range(1, 40), 2))
+            c = rng.randint(1, 40)
+            sieve = [True]
+            for y in range(1, 1201):
+                sieve.append(any(y >= g and sieve[y - g] for g in (top, bottom, c)))
+            member = _triple_member(top, bottom, c)
+            assert [member(y) for y in range(-2, 1201)] == [False, False, *sieve], (top, bottom, c)
+
+    @pytest.mark.parametrize(
+        "args", [(2951, -3354875, 2282, 2, 24935), (1529, -1643877, 2163, 2, 5991)]
+    )
+    def test_large_h_takes_the_euclidean_search(self, args, monkeypatch):
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return _floor_path_min(*a)
+
+        monkeypatch.setattr(core, "_floor_path_min", counted)
+        p = _unchecked(*args)
+        assert is_minimal(p) and calls
+        assert oracle.is_minimal_generating(list(p.generators))
+
+
+@pytest.fixture
+def no_oracle(monkeypatch):
+    """Make every oracle table call raise, so a passing test made none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(oracle, "is_minimal_generating", refuse)
+    monkeypatch.setattr(oracle, "apery_oracle", refuse)
+
+
+class TestLargeA:
+    """Minimality past the oracle cap, with the oracle switched off."""
+
+    def test_small_analogue_agrees_with_oracle(self):
+        # a = 11 = 1 (mod 5), as for a = 10**12 + 1 below.
+        p = _unchecked(11, 1, 1, 3, 5)
+        assert is_minimal(p) and _agrees_with_oracle(p)
+
+    def test_minimal_at_a_10_12(self, no_oracle):
+        # a = 1 (mod 5): every element of S below a is a multiple of 5, and
+        # no difference of two generators is.
+        a = 10**12 + 1
+        start = time.perf_counter()
+        p = validate_params(a, 1, 1, 3, 5)
+        assert time.perf_counter() - start < 0.5
+        assert p.generators == (a, a + 1, a + 2, a + 3, 5)
+
+    def test_sum_of_two_generators_is_not_minimal(self, no_oracle):
+        a = 10**12 + 1
+        start = time.perf_counter()
+        with pytest.raises(NotMinimal):
+            validate_params(a, 1, 1, 3, 2 * a + 1)  # c = a + (a + 1)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "args,minimal",
+        [
+            ((16602560, -4811039571391, 1159108, 4, 4084), True),
+            ((677693954, -670927630799521, 5940094, 6, 1389684), False),
+        ],
+    )
+    def test_large_h_is_quick(self, args, minimal, no_oracle):
+        # Stepping through the multiples of c or of max(a, ha+kd) would
+        # take millions of steps here.
+        start = time.perf_counter()
+        assert is_minimal(_unchecked(*args)) is minimal
+        assert time.perf_counter() - start < 0.5
+
+    def test_family_member_at_a_10_9_classifies_without_oracle(self, no_oracle):
+        # A Thm5.3-(ii) member with sigma = 1, p = 45454546, r = -1.
+        p = validate_params(999_999_991, -45_454_537, 4, 20, 177)
+        cls = classify_with_fast_path(p)
+        assert (cls.family, cls.type, cls.frobenius) == ("Thm5.3-(ii)", 2, 14_090_908_948)
+        assert cls.fast_path_used
+
+    def test_friendly_tuple_at_a_10_9_classifies_without_oracle(self, no_oracle):
+        # Smallest generator a ~ 10**9, above the oracle cap; a 14-row table.
+        p = validate_params(999_999_937, 1_861_391, 4, 20, 73_325_467_808)
+        t = build_table(p)
+        cls = classify_with_fast_path(p)
+        assert (cls.verdict, len(t.rows)) == ("NeitherSpecial", 14)
+        assert (cls.type, cls.frobenius) == (pf_tilde(p, t).type, frobenius(p, t))
 
 
 class TestMonomial:

@@ -11,6 +11,7 @@ from aag.euclid import (
     build_table,
     decompose,
     format_table,
+    row_count,
     tilde_for_pair,
 )
 
@@ -152,3 +153,25 @@ class TestInvariants:
         t = build_table(params)
         _check_invariants(params, t)
         assert t.hypothesis_ok == (t.pivot.r_prime >= 4 or t.pivot.rho == 0)
+
+
+class TestRowCount:
+    @given(valid_params(normalize=False))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_built_table(self, params):
+        t = build_table(params)
+        assert row_count(params.a, t.rows[1].s) == len(t.rows)
+
+    def test_long_table_counts_a_plus_one_rows(self):
+        # s_1 = a - 1 gives quotient 2 all the way down.
+        assert row_count(10**12 + 39, 10**12 + 38) == 10**12 + 40
+
+    def test_tables_above_the_cap_are_refused_before_building(self, monkeypatch):
+        monkeypatch.setenv("AAG_MAX_A", "1000")
+        # c = 2a - 1 with d = 1: s_1 = a - 1, so the table has a + 1 rows.
+        assert len(build_table(validate_params(997, 1, 1, 3, 1993)).rows) == 998
+        with pytest.raises(NonsenseInput, match="1010 rows"):
+            build_table(validate_params(1009, 1, 1, 3, 2017))
+        # A short table is built whatever a is.
+        assert len(build_table(validate_params(999_999_991, -45_454_537, 4, 20, 177)).rows) == 24
+
