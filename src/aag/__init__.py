@@ -20,7 +20,6 @@ from .errors import (
     NonsenseInput,
     NotCoprime,
     NotMinimal,
-    NotStandardForm,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "NonsenseInput",
     "NotCoprime",
     "NotMinimal",
-    "NotStandardForm",
 ]
 
 __version__ = "0.1.0"

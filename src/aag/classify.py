@@ -750,12 +750,12 @@ def fast_path(p: AagParams) -> Classification | None:
     )
 
 
-def classify_with_fast_path(p: AagParams) -> Classification:
-    """Fast path first, full route on a miss or an ambiguity."""
+def classify_with_fast_path(p: AagParams, t: EuclidTable | None = None) -> Classification:
+    """Fast path first, full route (on the caller's table ``t``) on a miss or an ambiguity."""
     try:
         hit = fast_path(p)
     except AmbiguousFastPath:
         hit = None
     if hit is not None:
         return hit
-    return classify(p)
+    return classify(p, t)

@@ -396,8 +396,9 @@ def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable
 
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
-    cls = classify_with_fast_path(p) if args.fast else classify(p, t)
+    cls = classify_with_fast_path(p, t) if args.fast else classify(p, t)
 
+    rep = None  # one oracle report, shared by the PF list and --oracle-verify
     if cls.verdict != VERDICT_ORACLE_ONLY:
         pf = pf_tilde(p, t)
         pf_list = list(pf.pf_numbers)
@@ -439,7 +440,7 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
         "fast_path_used": cls.fast_path_used,
     }
     if args.oracle_verify:
-        rep = oracle.oracle_report(list(p.generators))
+        rep = rep or oracle.oracle_report(list(p.generators))
         report["oracle_agrees"] = _oracle_agrees(cls, rep) and list(rep.pf) == pf_list
     return report
 
@@ -613,7 +614,7 @@ def _build_parser() -> _Parser:
 
     orc = sub.add_parser("oracle", help="brute-force report for explicit generators")
     orc.add_argument("--gens", required=True, help="comma-separated generator list")
-    orc.add_argument("--modulus", type=int, default=None, help="Apery modulus (default: smallest generator)")
+    orc.add_argument("--modulus", type=int, default=None, help="Apery modulus, an element of the semigroup (default: smallest generator)")
     orc.set_defaults(func=cmd_oracle)
 
     return parser

@@ -40,11 +40,6 @@ class NotMinimal(AagError):
     embedding dimension k+2 is wrong."""
 
 
-class NotStandardForm(AagError):
-    """Parameters fall outside the normal form the structural machinery
-    assumes (after the optional d<0 rewrite has been attempted)."""
-
-
 class HypothesisViolated(AagError):
     """The structural hypothesis (pivot row has r' >= h, or its s-value is
     divisible by k) fails, and the requested computation is only proved

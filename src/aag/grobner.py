@@ -4,9 +4,10 @@ The semigroup ring's defining ideal I is prime and binomial: a binomial
 lies in I exactly when its two monomials have equal weighted degree φ.
 Every side below, except the A leads x_i x_j, is a power of x0 times a
 plane monomial M(y, z) = L_i x_k^α x_{k+1}^z with y = αk + i
-(``staircase.plane_monomial``); a column y + j past a multiple of k
-carries into x_k.  With Δs = s_μ − s_{μ+1} and Δp = p_{μ+1} − p_μ, four
-families are constructed straight from the Euclidean table:
+(``plane_monomial``, the one layout of a plane point as an exponent
+vector); a column y + j past a multiple of k carries into x_k.  With
+Δs = s_μ − s_{μ+1} and Δp = p_{μ+1} − p_μ, four families are constructed
+straight from the Euclidean table:
 
   A: x_i x_j - x0^{h·[i+j <= k]} M(i + j, 0)             1 <= i <= j <= k-1
   B: M(s_μ, 0) - x0^{r'_μ} M(0, p_μ), plus, when ρ_μ > 0, the companions
@@ -42,9 +43,27 @@ import math
 from dataclasses import dataclass
 
 from .core import AagParams, Monomial, phi
-from .errors import HypothesisViolated, NotStandardForm
+from .errors import HypothesisViolated, NonsenseInput
 from .euclid import EuclidTable, tilde_for_pair
-from .staircase import StandardPoint, monomial_to_point, plane_monomial, rectangles
+from .staircase import StandardPoint, rectangles
+
+
+def plane_monomial(y: int, z: int, k: int, x0: int = 0) -> Monomial:
+    """The monomial x0^e · M(y, z), e = ``x0``, M(y, z) = L_i x_k^α x_{k+1}^z.
+
+    Here α = y // k and i = y % k.  This is the one layout of a plane point
+    as an exponent vector: a column that reaches the next multiple of k
+    carries into the power of x_k.
+    """
+    if k < 1:
+        raise NonsenseInput(f"k must be positive, got {k}")
+    alpha, i = divmod(y, k)
+    exps = [x0] + [0] * (k + 1)
+    if i > 0:
+        exps[i] = 1
+    exps[k] = alpha
+    exps[k + 1] = z
+    return Monomial(tuple(exps))
 
 
 @dataclass(frozen=True)
@@ -132,17 +151,18 @@ def row_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
     """One kernel element per table row: M(s, 0) against x0^{r'} M(0, p).
 
     The row equation gives φ(M(s, 0)) = φ(M(0, p)) + r'·a, so the x0 power
-    goes to M(0, p) when r' >= 0 and to M(s, 0) when r' < 0.  Leads are
-    assigned by the order, not by writing convention.
+    goes to M(0, p) when r' >= 0 and to M(s, 0) when r' < 0.  With x0 lowest
+    the side carrying x0 is the smaller, so M(s, 0) leads exactly when
+    r' > 0; at r' = 0 M(0, p) leads, as M(s, 0) has an exponent at ρ or k.
     """
     k = params.k
     out = []
     for row in table.rows:
-        first = plane_monomial(row.s, 0, k, max(-row.r_prime, 0))
-        second = plane_monomial(0, row.p, k, max(row.r_prime, 0))
-        if order_key(first, params) < order_key(second, params):
-            first, second = second, first
-        out.append(Binomial(first, second, "Row"))
+        big = plane_monomial(row.s, 0, k, max(-row.r_prime, 0))
+        small = plane_monomial(0, row.p, k, max(row.r_prime, 0))
+        if row.r_prime <= 0:
+            big, small = small, big
+        out.append(Binomial(big, small, "Row"))
     return out
 
 
@@ -206,14 +226,15 @@ def certify_basis(
     leads, unit_pairs = [], set()
     for b in basis:
         exps = b.lead.exponents
-        if sum(exps[1:k]) >= 2:  # two unit factors: divides no plane monomial
+        units = exps[1:k]
+        if sum(units) >= 2:  # two unit factors: divides no plane monomial
             if sum(exps) == 2:
                 unit_pairs.add(exps)  # x_i x_j, an A lead
             continue
-        try:
-            leads.append(monomial_to_point(b.lead, k))
-        except NotStandardForm:
+        if exps[0]:
             continue  # has x0: divides no plane monomial
+        i = units.index(1) + 1 if 1 in units else 0
+        leads.append(StandardPoint(k * exps[k] + i, exps[k + 1]))
     if len(unit_pairs) != k * (k - 1) // 2:
         return False
     profile = [height for lo, hi, height in rectangles(table) for _ in range(lo, hi)]

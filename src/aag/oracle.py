@@ -221,11 +221,16 @@ def oracle_report(generators: Sequence[int], modulus: int | None = None) -> Orac
     generator g: if w + x is in the Apery set for some nonzero x in S,
     peeling one generator g off x keeps w + g in the Apery set as well.
     The genus counts (w[r] - r)/m gaps per residue class r (Selmer).
+    All of this needs m in S, that is, m equal to the least ``table[-g mod m]
+    + g`` over the generators g (the least positive element of S divisible
+    by m); any other modulus raises ``NonsenseInput``.
     """
     gens = _clean_generators(generators)
     _require_coprime(gens)
     m = min(gens) if modulus is None else modulus
     table = apery_oracle(gens, m)
+    if min(table[-g % m] + g for g in gens) != m:
+        raise NonsenseInput(f"modulus {m} is not in the semigroup generated by {gens}")
     if m == 1:
         pf = [-1]
     elif m * max(gens) < _NUMPY_SAFE_PRODUCT:

@@ -11,11 +11,14 @@ each held as its plane point ``(y, z)`` of the Apery staircase (see
 * ``pf2``: ``z = p_{mu+1} - p_mu - 1``.
 
 Each family is produced by a flat decision table keyed on the pivot pair of
-the Euclidean table.  Every arm carries a clause identifier (``1a`` .. ``2d``
-for ``pf1``, ``3`` .. ``7ii`` for ``pf2``) that is recorded in the result
-trace, so a computed answer can always be traced back to the exact guard that
-produced it.  A reachable configuration that matches no arm raises
-``InternalDispatchGap`` -- by design that error is never expected to fire.
+the Euclidean table.  Every arm names one column run ``(lo, hi, base)`` on its
+row: the points ``(k*base + i, z)`` for ``lo <= i <= hi``, so a single member
+is a run of one and an empty family a run with ``hi < lo``.  Every arm also
+carries a clause identifier (``1a`` .. ``2d`` for ``pf1``, ``3`` .. ``7ii``
+for ``pf2``) that is recorded in the result trace, so a computed answer can
+always be traced back to the exact guard that produced it.  A reachable
+configuration that matches no arm raises ``InternalDispatchGap`` -- by
+design that error is never expected to fire.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ class PfResult:
 
     ``pf1`` holds the plane points ``(y, z)`` of the pseudo-Frobenius
     monomials on row ``z = p_{mu+1} - 1``; ``pf2`` those on row
-    ``z = p_{mu+1} - p_mu - 1`` (``staircase.point_to_monomial`` gives the
-    monomial).  ``pf_numbers`` is the sorted list of ``weight(pt) - a`` over
-    both families, ``type`` its cardinality, and ``frob_point`` the point of
-    maximal weight (its value is the Frobenius number).  ``case_trace`` is the
-    deterministic record of which decision-table clause fired for each
-    family, formatted like ``"PF1: clause 2b; PF2: clause 7i"``.
+    ``z = p_{mu+1} - p_mu - 1`` (``grobner.plane_monomial(pt.y, pt.z, k)``
+    gives the monomial).  ``pf_numbers`` is the sorted list of
+    ``weight(pt) - a`` over both families, ``type`` its cardinality, and
+    ``frob_point`` the point of maximal weight (its value is the Frobenius
+    number).  ``case_trace`` is the deterministic record of which
+    decision-table clause fired for each family, formatted like
+    ``"PF1: clause 2b; PF2: clause 7i"``.
     """
 
     pf1: tuple[StandardPoint, ...]
@@ -56,46 +60,36 @@ class PfResult:
     case_trace: str
 
 
-def _family_member(k: int, unit: int, k_exp: int, z_exp: int) -> StandardPoint:
-    """The point of ``x_unit * x_k^k_exp * x_{k+1}^z_exp``.
-
-    ``unit = 0`` means no unit factor; ``unit = k`` folds into the ``x_k``
-    power, since the column ``y = k * k_exp + unit`` is then ``k * (k_exp + 1)``.
-    """
-    return StandardPoint(k * k_exp + unit, z_exp)
+_EMPTY = (1, 0, 0)  # a column run with hi < lo: no member
 
 
-def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[StandardPoint], str]:
+def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[tuple[int, int, int], str]:
     """Decision table for the ``p_{mu+1} - 1`` family (clauses 1a-1e, 2a-2d)."""
     k = p.k
     nxt = t.after_pivot
-    z = nxt.p - 1
     rho1 = nxt.rho
     t_sigma, t_rho = t.tilde_sigma, t.tilde_rho
 
-    def run(lo: int, hi: int, base: int) -> list[StandardPoint]:
-        return [_family_member(k, i, base, z) for i in range(lo, hi + 1)]
-
     if nxt.r_prime == 0:
         if rho1 == 0:
-            return [], "1a"
+            return _EMPTY, "1a"
         if t_rho == 0:
-            return run(1, k - rho1, t_sigma - 1), "1b"
+            return (1, k - rho1, t_sigma - 1), "1b"
         if t_rho == 1 and t_sigma == 0:
-            return [], "1c"
+            return _EMPTY, "1c"
         if t_rho == 1:
-            return run(1, k - rho1, t_sigma - 1), "1d"
+            return (1, k - rho1, t_sigma - 1), "1d"
         if t_rho > 1:
-            return run(1, min(t_rho - 1, k - rho1), t_sigma), "1e"
+            return (1, min(t_rho - 1, k - rho1), t_sigma), "1e"
     elif nxt.r_prime < 0:
         if t_rho == 0:
-            return run(1, k - 1, t_sigma - 1), "2a"
+            return (1, k - 1, t_sigma - 1), "2a"
         if t_rho == 1 and t_sigma == 0:
-            return [_family_member(k, 0, 0, z)], "2b"
+            return (0, 0, 0), "2b"
         if t_rho == 1:
-            return run(1, k, t_sigma - 1), "2c"
+            return (1, k, t_sigma - 1), "2c"
         if t_rho > 1:
-            return run(1, t_rho - 1, t_sigma), "2d"
+            return (1, t_rho - 1, t_sigma), "2d"
     raise InternalDispatchGap(
         "pf1 dispatch matched no clause: "
         f"r'_(mu+1)={nxt.r_prime}, rho_(mu+1)={rho1}, "
@@ -103,42 +97,38 @@ def _pf1_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[StandardPoint], st
     )
 
 
-def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[list[StandardPoint], str]:
+def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[tuple[int, int, int], str]:
     """Decision table for the ``p_{mu+1} - p_mu - 1`` family (clauses 3-7ii)."""
     k, h = p.k, p.h
     piv, nxt = t.pivot, t.after_pivot
-    z = nxt.p - piv.p - 1
     s1 = nxt.s
     drop = piv.s - nxt.s
 
-    def run(lo: int, hi: int, base: int) -> list[StandardPoint]:
-        return [_family_member(k, i, base, z) for i in range(lo, hi + 1)]
-
     if s1 == 0:
-        return [], "3"
+        return _EMPTY, "3"
     if piv.rho == 0:
         if s1 >= k - 1:
-            return run(1, k - 1, piv.sigma - 1), "4i"
-        return run(t.tilde_rho, k - 1, piv.sigma - 1), "4ii"
+            return (1, k - 1, piv.sigma - 1), "4i"
+        return (t.tilde_rho, k - 1, piv.sigma - 1), "4ii"
     if piv.rho == 1:
         if piv.r_prime > h:
             if s1 >= k:
-                return run(1, k, piv.sigma - 1), "5i"
+                return (1, k, piv.sigma - 1), "5i"
             if s1 > 1:
-                return run(t.tilde_rho, k, piv.sigma - 1), "5ii"
+                return (t.tilde_rho, k, piv.sigma - 1), "5ii"
             if s1 == 1:
-                return [_family_member(k, 0, piv.sigma, z)], "5iii"
+                return (0, 0, piv.sigma), "5iii"
         elif piv.r_prime == h:
             if drop == 1:
-                return run(1, k, piv.sigma - 1), "6i"
+                return (1, k, piv.sigma - 1), "6i"
             if 1 < drop <= piv.s - k:
-                return [_family_member(k, 1, piv.sigma - 1, z)], "6ii"
+                return (1, 1, piv.sigma - 1), "6ii"
             if drop > piv.s - k:
-                return [], "6iii"
+                return _EMPTY, "6iii"
     elif piv.rho > 1:
         if s1 >= piv.rho - 1:
-            return run(1, piv.rho - 1, piv.sigma), "7i"
-        return run(t.tilde_rho, piv.rho - 1, piv.sigma), "7ii"
+            return (1, piv.rho - 1, piv.sigma), "7i"
+        return (t.tilde_rho, piv.rho - 1, piv.sigma), "7ii"
     raise InternalDispatchGap(
         "pf2 dispatch matched no clause: "
         f"s_(mu+1)={s1}, rho_mu={piv.rho}, r'_mu={piv.r_prime}, h={h}, "
@@ -182,8 +172,13 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
             f"pivot row has r'_mu={t.pivot.r_prime}, rho_mu={t.pivot.rho}, h={p.h}"
         )
 
-    pf1, clause1 = _pf1_dispatch(p, t)
-    pf2, clause2 = _pf2_dispatch(p, t)
+    run1, clause1 = _pf1_dispatch(p, t)
+    run2, clause2 = _pf2_dispatch(p, t)
+    rows = (t.after_pivot.p - 1, t.after_pivot.p - t.pivot.p - 1)
+    pf1, pf2 = (
+        [StandardPoint(p.k * base + i, z) for i in range(lo, hi + 1)]
+        for (lo, hi, base), z in zip((run1, run2), rows)
+    )
     if not pf1 and not pf2:
         raise MalformedPf(
             "both pseudo-Frobenius families came out empty "

@@ -9,9 +9,7 @@ half-open rectangles determined by the pivot rows of the Euclidean table:
   ∪ {s_μ - s_{μ+1} <= y < s_μ,  0 <= z < p_{μ+1} - p_μ}
 
 whose total cardinality is a by the determinant identity
-s_μ p_{μ+1} - s_{μ+1} p_μ = a.  The complement of the staircase in the
-quadrant splits into three rectangular regions U, V, W (the monomials of
-the initial ideal); ``initial_region`` names them.
+s_μ p_{μ+1} - s_{μ+1} p_μ = a.
 
 The weight of a point is φ(M(y, z)) = α·g_k + g_i + z·c with g_0 = 0
 (``weight``), so a point costs O(1) whatever k is.
@@ -33,14 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import AagParams, Monomial
-from .errors import HypothesisViolated, NonsenseInput, NotStandardForm
+from .core import AagParams
+from .errors import HypothesisViolated, NonsenseInput
 from .euclid import EuclidTable
-
-REGION_U = "U"
-REGION_V = "V"
-REGION_W = "W"
-REGION_STANDARD = "Standard"
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,56 +50,9 @@ class StandardPoint:
 
 @dataclass(frozen=True)
 class AperySet:
-    """The Apery points plus the table bounds that carved them out."""
+    """The Apery points of the staircase."""
 
     points: frozenset[StandardPoint]
-    bounds: tuple[int, int, int, int]  # (s_mu, s_mu1, p_mu, p_mu1)
-
-
-def plane_monomial(y: int, z: int, k: int, x0: int = 0) -> Monomial:
-    """The monomial x0^e · M(y, z), e = ``x0``, M(y, z) = L_i x_k^α x_{k+1}^z.
-
-    Here α = y // k and i = y % k.  This is the one layout of a plane point
-    as an exponent vector: a column that reaches the next multiple of k
-    carries into the power of x_k.
-    """
-    if k < 1:
-        raise NonsenseInput(f"k must be positive, got {k}")
-    alpha, i = divmod(y, k)
-    exps = [x0] + [0] * (k + 1)
-    if i > 0:
-        exps[i] = 1
-    exps[k] = alpha
-    exps[k + 1] = z
-    return Monomial(tuple(exps))
-
-
-def point_to_monomial(pt: StandardPoint, k: int) -> Monomial:
-    """M(y, z) = L_i x_k^α x_{k+1}^z with α = y // k, i = y % k."""
-    return plane_monomial(pt.y, pt.z, k)
-
-
-def monomial_to_point(m: Monomial, k: int) -> StandardPoint:
-    """Inverse of ``point_to_monomial``.
-
-    Accepts exactly the monomials of shape L_i x_k^α x_{k+1}^z: no x_0,
-    at most one of x_1..x_{k-1} and only to the first power.
-    """
-    if len(m.exponents) != k + 2:
-        raise NonsenseInput(
-            f"monomial has {len(m.exponents)} variables, expected {k + 2}"
-        )
-    if m.exponents[0] != 0:
-        raise NotStandardForm(f"{m} contains x0")
-    i = 0
-    for j in range(1, k):
-        e = m.exponents[j]
-        if e == 0:
-            continue
-        if e > 1 or i:
-            raise NotStandardForm(f"{m} is not of the form L_i x{k}^a x{k + 1}^z")
-        i = j
-    return StandardPoint(y=k * m.exponents[k] + i, z=m.exponents[k + 1])
 
 
 def _require_hypothesis(table: EuclidTable) -> None:
@@ -140,12 +86,11 @@ def iter_apery_points(table: EuclidTable) -> Iterator[StandardPoint]:
 def apery_set(params: AagParams, table: EuclidTable) -> AperySet:
     """Materialized Apery set; cardinality is checked to equal a."""
     points = frozenset(iter_apery_points(table))
-    piv, nxt = table.pivot, table.after_pivot
     if len(points) != params.a:
         raise AssertionError(
             f"Apery rectangle count {len(points)} != a = {params.a}"
         )
-    return AperySet(points=points, bounds=(piv.s, nxt.s, piv.p, nxt.p))
+    return AperySet(points=points)
 
 
 def weight(params: AagParams, pt: StandardPoint) -> int:
@@ -187,13 +132,3 @@ def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
             w = alpha * block[k] + block[i]
             out.extend(range(w, w + height * c, c))
     return out
-
-
-def initial_region(pt: StandardPoint, table: EuclidTable) -> str:
-    """Which piece of the plane the point falls in: U, V, W or Standard."""
-    (_, split, tall), (_, s_mu, short) = rectangles(table)
-    if pt.y < split:
-        return REGION_U if pt.z >= tall else REGION_STANDARD
-    if pt.z >= short:
-        return REGION_V
-    return REGION_W if pt.y >= s_mu else REGION_STANDARD

@@ -427,6 +427,18 @@ class TestClassifyWithFastPath:
         assert r.verdict == VERDICT_SYMMETRIC
         assert r.family == "Thm4.1-case1"
 
+    def test_fallback_reuses_the_callers_table(self, monkeypatch):
+        p = validate_params(15, 7, 1, 3, 10)  # raw presentation, fast path silent
+        t = build_table(p)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the caller's table was rebuilt")
+
+        monkeypatch.setattr(classify_module, "build_table", refuse)
+        r = classify_with_fast_path(p, t)
+        assert r.fast_path_used is False
+        assert (r.verdict, r.family) == (VERDICT_SYMMETRIC, "Thm4.1-case1")
+
 
 class TestAgreementAndSoundness:
     @given(p=valid_params(k_range=(3, 6)))

@@ -178,6 +178,25 @@ class TestAnalyze:
         assert (doc["type"], doc["frobenius"]) == (2, 2)
         assert doc["oracle_agrees"] is True
 
+    @pytest.mark.parametrize("flags,calls", [((), 2), (("--oracle-verify",), 2)])
+    def test_oracle_only_builds_one_report_itself(self, capsys, monkeypatch, flags, calls):
+        # One report comes from classify's OracleOnly route, one from analyze.
+        built = []
+        report = oracle.oracle_report
+
+        def counting_report(*args, **kwargs):
+            built.append(args)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "oracle_report", counting_report)
+        code, out, _ = run_cli(
+            capsys, "analyze", "--a", "3", "--d", "1", "--h", "1", "--k", "1", "--c", "5",
+            "--json", *flags,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["pf"] == [1, 2]
+        assert len(built) == calls
+
     def test_human_output(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *EX1)
         assert code == EXIT_OK
@@ -529,6 +548,18 @@ class TestTableAndOracle:
             "reason": "the table of (a=10007, d=1, h=1, k=3, c=30020) has 10008 rows, "
             "above the cap of 10001 (set AAG_MAX_A to raise it)",
         }
+
+    @pytest.mark.parametrize("modulus", ["4", "7", "1"])
+    def test_oracle_modulus_outside_s_exits_2(self, capsys, modulus):
+        code, out, _ = run_cli(capsys, "oracle", "--gens", "3,5", "--modulus", modulus)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "NonsenseInput"
+
+    def test_oracle_modulus_inside_s(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--gens", "3,5", "--modulus", "8")  # 8 = 3 + 5
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["frobenius"], doc["pf"]) == (7, [7])
 
     def test_oracle_explicit_modulus(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--gens", "10,17,24,31,15", "--modulus", "15")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from aag.core import monomial, phi, validate_params
-from aag.errors import HypothesisViolated
+from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table, tilde_for_pair
 from aag.grobner import (
     Binomial,
@@ -15,10 +15,11 @@ from aag.grobner import (
     family_A,
     kernel_check,
     order_key,
+    plane_monomial,
     row_binomials,
     tilde_binomials,
 )
-from aag.staircase import StandardPoint, apery_set, point_to_monomial
+from aag.staircase import StandardPoint, apery_set
 
 from conftest import valid_params
 
@@ -31,7 +32,7 @@ def _lead_divisors(params, t, basis):
     out = {}
     for y in range(t.pivot.s + k):
         for z in range(t.after_pivot.p + 1):
-            m = point_to_monomial(StandardPoint(y, z), k).exponents
+            m = plane_monomial(y, z, k).exponents
             out[StandardPoint(y, z)] = {
                 i for i, lead in enumerate(leads) if all(e <= f for e, f in zip(lead, m))
             }
@@ -206,6 +207,12 @@ class TestCertification:
         assert not certify_basis(ex1, t, basis=bcd)
         for i, b in enumerate(fam_a):
             assert not certify_basis(ex1, t, basis=fam_a[:i] + fam_a[i + 1 :] + bcd), str(b)
+
+    def test_wrong_arity_raises(self, ex1):
+        t = build_table(ex1)
+        bad = Binomial(monomial(5, x1=1), monomial(5, x2=1), "B")
+        with pytest.raises(NonsenseInput):
+            certify_basis(ex1, t, basis=family_A(ex1) + [bad])
 
     def test_worked_examples(self, ex1, ex2_raw, ex2_normalized):
         for p in (ex1, ex2_raw, ex2_normalized):

@@ -8,7 +8,8 @@ from aag.core import Monomial, monomial, phi, validate_params
 from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table
 from aag.pseudofrob import PfResult, pf_tilde
-from aag.staircase import apery_set, frobenius, point_to_monomial
+from aag.grobner import plane_monomial
+from aag.staircase import apery_set, frobenius
 
 from conftest import valid_params
 
@@ -44,7 +45,8 @@ def _check_against_oracle(p):
     assert r.pf_numbers == oracle.oracle_report(p.generators).pf
     assert r.type == len(r.pf1) + len(r.pf2) == len(r.pf_numbers) >= 1
     assert r.pf_numbers[-1] == frobenius(p, t)
-    assert phi(point_to_monomial(r.frob_point, p.k), p) - p.a == r.pf_numbers[-1]
+    frob = r.frob_point
+    assert phi(plane_monomial(frob.y, frob.z, p.k), p) - p.a == r.pf_numbers[-1]
     return r
 
 
@@ -52,11 +54,11 @@ class TestWorkedExample:
     def test_frozen_families(self, ex1):
         t = build_table(ex1)
         r = pf_tilde(ex1, t)
-        assert [str(point_to_monomial(pt, 20)) for pt in r.pf1] == ["x21^7"]
-        assert [str(point_to_monomial(pt, 20)) for pt in r.pf2] == ["x1*x20*x21^6"]
+        assert [str(plane_monomial(pt.y, pt.z, 20)) for pt in r.pf1] == ["x21^7"]
+        assert [str(plane_monomial(pt.y, pt.z, 20)) for pt in r.pf2] == ["x1*x20*x21^6"]
         assert r.pf_numbers == (1084, 2168)
         assert r.type == 2
-        assert str(point_to_monomial(r.frob_point, 20)) == "x1*x20*x21^6"
+        assert str(plane_monomial(r.frob_point.y, r.frob_point.z, 20)) == "x1*x20*x21^6"
         assert r.case_trace == "PF1: clause 2b; PF2: clause 7i"
 
     def test_values_match_weights(self, ex1):
@@ -107,9 +109,9 @@ class TestStructuralInvariants:
         r = pf_tilde(p, t)
         piv, nxt = t.pivot, t.after_pivot
         k = p.k
-        apery_monomials = {point_to_monomial(pt, k) for pt in apery_set(p, t).points}
-        pf1 = [point_to_monomial(pt, k) for pt in r.pf1]
-        pf2 = [point_to_monomial(pt, k) for pt in r.pf2]
+        apery_monomials = {plane_monomial(pt.y, pt.z, k) for pt in apery_set(p, t).points}
+        pf1 = [plane_monomial(pt.y, pt.z, k) for pt in r.pf1]
+        pf2 = [plane_monomial(pt.y, pt.z, k) for pt in r.pf2]
         for m in pf1:
             assert m.exponents[k + 1] == nxt.p - 1
         for m in pf2:
@@ -138,7 +140,7 @@ class TestStructuralInvariants:
         t = build_table(ex1)
         r = pf_tilde(ex1, t)
         values = sorted(
-            phi(point_to_monomial(pt, ex1.k), ex1) - ex1.a for pt in (*r.pf1, *r.pf2)
+            phi(plane_monomial(pt.y, pt.z, ex1.k), ex1) - ex1.a for pt in (*r.pf1, *r.pf2)
         )
         assert values == list(r.pf_numbers)
         assert len(values) == r.type

@@ -8,23 +8,17 @@ from hypothesis import strategies as st
 
 from aag import oracle, staircase
 from aag.core import AagParams, monomial, phi, validate_params
-from aag.errors import HypothesisViolated, NonsenseInput, NotStandardForm
+from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table
+from aag.grobner import plane_monomial
 from aag.pseudofrob import pf_tilde
 from aag.staircase import (
-    REGION_STANDARD,
-    REGION_U,
-    REGION_V,
-    REGION_W,
     StandardPoint,
     _top_row_max,
     apery_set,
     apery_values,
     frobenius,
-    initial_region,
     iter_apery_points,
-    monomial_to_point,
-    point_to_monomial,
     weight,
 )
 
@@ -33,27 +27,9 @@ from conftest import valid_params
 
 class TestPlaneMaps:
     def test_frozen(self):
-        assert point_to_monomial(StandardPoint(0, 3), 20) == monomial(22, x21=3)
-        assert point_to_monomial(StandardPoint(21, 6), 20) == monomial(
-            22, x1=1, x20=1, x21=6
-        )
-        assert monomial_to_point(monomial(22, x5=1, x20=2, x21=1), 20) == StandardPoint(45, 1)
-
-    def test_rejects_non_standard(self):
-        with pytest.raises(NotStandardForm):
-            monomial_to_point(monomial(22, x0=1), 20)
-        with pytest.raises(NotStandardForm):
-            monomial_to_point(monomial(22, x1=2), 20)
-        with pytest.raises(NotStandardForm):
-            monomial_to_point(monomial(22, x1=1, x2=1), 20)
-        with pytest.raises(NonsenseInput):
-            monomial_to_point(monomial(5), 20)
-
-    @given(st.integers(0, 400), st.integers(0, 40), st.integers(1, 9))
-    @settings(max_examples=120, deadline=None)
-    def test_roundtrip(self, y, z, k):
-        pt = StandardPoint(y, z)
-        assert monomial_to_point(point_to_monomial(pt, k), k) == pt
+        assert plane_monomial(0, 3, 20) == monomial(22, x21=3)
+        assert plane_monomial(21, 6, 20) == monomial(22, x1=1, x20=1, x21=6)
+        assert plane_monomial(45, 1, 20) == monomial(22, x5=1, x20=2, x21=1)
 
     def test_negative_point(self):
         with pytest.raises(NonsenseInput):
@@ -64,7 +40,7 @@ class TestFrozenStaircase:
     def test_running_example_rectangles(self, ex1):
         t = build_table(ex1)
         ap = apery_set(ex1, t)
-        assert ap.bounds == (22, 21, 1, 8)
+        assert (t.pivot.s, t.after_pivot.s, t.pivot.p, t.after_pivot.p) == (22, 21, 1, 8)
         assert len(ap.points) == 155
         assert StandardPoint(0, 7) in ap.points
         assert StandardPoint(0, 8) not in ap.points
@@ -76,14 +52,6 @@ class TestFrozenStaircase:
         t = build_table(ex1)
         assert frobenius(ex1, t) == 2168
         assert phi(monomial(22, x1=1, x20=1, x21=6), ex1) - 155 == 2168
-
-    def test_regions(self, ex1):
-        t = build_table(ex1)
-        assert initial_region(StandardPoint(0, 8), t) == REGION_U
-        assert initial_region(StandardPoint(22, 0), t) == REGION_W
-        assert initial_region(StandardPoint(0, 0), t) == REGION_STANDARD
-        assert initial_region(StandardPoint(1, 7), t) == REGION_V
-        assert initial_region(StandardPoint(300, 50), t) == REGION_V
 
 
 def _assert_matches_oracle(params):
@@ -98,7 +66,7 @@ def _assert_matches_oracle(params):
     pts = apery_set(params, t).points
     assert pts == set(iter_apery_points(t))
     direct = sorted(
-        phi(point_to_monomial(pt, params.k), params) for pt in pts
+        phi(plane_monomial(pt.y, pt.z, params.k), params) for pt in pts
     )
     assert direct == sorted(values)
 
@@ -180,23 +148,6 @@ class TestCandidateColumns:
         monkeypatch.setattr(staircase, "weight", counting_weight)
         assert frobenius(params, t) == 48828
         assert 0 < len(weighed) <= 6 < t.pivot.s
-
-
-class TestRegionPartition:
-    @given(valid_params(), st.integers(0, 60), st.integers(0, 25))
-    @settings(max_examples=150, deadline=None)
-    def test_standard_iff_apery(self, params, y, z):
-        t = build_table(params)
-        if not t.hypothesis_ok:
-            return
-        pt = StandardPoint(y, z)
-        region = initial_region(pt, t)
-        in_apery = pt in apery_set(params, t).points
-        assert (region == REGION_STANDARD) == in_apery
-        if region == REGION_U:
-            assert y < t.pivot.s - t.after_pivot.s and z >= t.after_pivot.p
-        if region == REGION_W:
-            assert y >= t.pivot.s and z < t.after_pivot.p - t.pivot.p
 
 
 class TestHypothesisGate:
