@@ -23,6 +23,7 @@ quadratic discriminants near (k*c*a)**2 are exact and nothing can wrap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -55,14 +56,14 @@ class AagParams:
         return self.generators[:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A monomial in x0, ..., x_{k+1}, stored as its exponent vector."""
 
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
+        if self.exponents and min(self.exponents) < 0:
             raise NonsenseInput(f"negative exponent in {self.exponents}")
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -352,4 +353,4 @@ def phi(m: Monomial, p: AagParams) -> int:
         raise NonsenseInput(
             f"monomial has {len(m.exponents)} variables, params need {p.k + 2}"
         )
-    return sum(e * g for e, g in zip(m.exponents, p.generators))
+    return sum(map(operator.mul, m.exponents, p.generators))

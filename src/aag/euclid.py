@@ -33,17 +33,18 @@ binomial families, pseudo-Frobenius dispatch) reads only this table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import AagParams
 from .errors import NonsenseInput, NoPivot
 from .oracle import max_modulus
 
 
-@dataclass(frozen=True, slots=True)
-class EuclidRow:
+class EuclidRow(NamedTuple):
     """One table row: index, the triple (s, p, r), the quotient q that
     produced it (None for rows 0 and 1), the decomposition s = σk + lρ,
-    and r' = r + h(σ + l)."""
+    and r' = r + h(σ + l).  A named tuple: one cheap allocation per row,
+    and a row unpacks and compares equal to the plain tuple of its fields."""
 
     index: int
     s: int
@@ -102,18 +103,12 @@ def decompose(s: int, k: int) -> tuple[int, int, int]:
 
 
 def _make_row(index: int, s: int, p: int, r: int, q: int | None, k: int, h: int) -> EuclidRow:
-    sigma, rho, ell = decompose(s, k)
-    return EuclidRow(
-        index=index,
-        s=s,
-        p=p,
-        r=r,
-        q=q,
-        sigma=sigma,
-        rho=rho,
-        ell=ell,
-        r_prime=r + h * (sigma + ell),
-    )
+    # ``decompose`` inlined: k >= 1 is validated and the recurrence keeps
+    # s >= 0, so its checks cannot fire here; verify.euclid_violations
+    # rechecks s = σk + lρ on every row it reads.
+    sigma, rho = divmod(s, k)
+    ell = 1 if rho else 0
+    return EuclidRow(index, s, p, r, q, sigma, rho, ell, r + h * (sigma + ell))
 
 
 def tilde_for_pair(table: EuclidTable, i: int, k: int, h: int) -> tuple[int, int, int, int]:
@@ -168,20 +163,11 @@ def build_table(params: AagParams) -> EuclidTable:
             f"above the cap of {cap + 1} (set AAG_MAX_A to raise it)"
         )
     rows = [_make_row(0, a, 0, d, None, k, h), _make_row(1, s1, 1, r1, None, k, h)]
-    while rows[-1].s > 0:
-        prev, cur = rows[-2], rows[-1]
-        q = -(-prev.s // cur.s)  # ceiling quotient, always >= 2 here
-        rows.append(
-            _make_row(
-                cur.index + 1,
-                q * cur.s - prev.s,
-                q * cur.p - prev.p,
-                q * cur.r - prev.r,
-                q,
-                k,
-                h,
-            )
-        )
+    s0, p0, r0, s, p, r = a, 0, d, s1, 1, r1
+    while s > 0:
+        q = -(-s0 // s)  # ceiling quotient, always >= 2 here
+        s0, p0, r0, s, p, r = s, p, r, q * s - s0, q * p - p0, q * r - r0
+        rows.append(_make_row(len(rows), s, p, r, q, k, h))
 
     mu = -1
     for i in range(len(rows) - 1):

@@ -39,6 +39,7 @@ followed by k zeros settles the whole quadrant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,12 +59,9 @@ def plane_monomial(y: int, z: int, k: int, x0: int = 0) -> Monomial:
     if k < 1:
         raise NonsenseInput(f"k must be positive, got {k}")
     alpha, i = divmod(y, k)
-    exps = [x0] + [0] * (k + 1)
-    if i > 0:
-        exps[i] = 1
-    exps[k] = alpha
-    exps[k + 1] = z
-    return Monomial(tuple(exps))
+    if i:
+        return Monomial((x0, *(0,) * (i - 1), 1, *(0,) * (k - 1 - i), alpha, z))
+    return Monomial((x0, *(0,) * (k - 1), alpha, z))
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,13 @@ def kernel_check(b: Binomial, params: AagParams) -> bool:
 
 def family_A(params: AagParams) -> list[Binomial]:
     """All k(k-1)/2 quadratic relations among x_1 .. x_{k-1}."""
-    k, h = params.k, params.h
+    return list(_family_A(params.k, params.h))
+
+
+@functools.lru_cache(maxsize=32)
+def _family_A(k: int, h: int) -> tuple[Binomial, ...]:
+    # The A binomials depend on (k, h) alone, and a grid walk meets few
+    # distinct pairs; the values are frozen, so callers may share them.
     out = []
     for i in range(1, k):
         for j in range(i, k):
@@ -104,7 +108,7 @@ def family_A(params: AagParams) -> list[Binomial]:
             exps[j] += 1
             tail = plane_monomial(i + j, 0, k, h if i + j <= k else 0)
             out.append(Binomial(Monomial(tuple(exps)), tail, "A"))
-    return out
+    return tuple(out)
 
 
 def families_BCD(params: AagParams, table: EuclidTable) -> list[Binomial]:
@@ -220,7 +224,9 @@ def certify_basis(
     for b in basis:
         if not kernel_check(b, params):
             return False
-        if order_key(b.lead, params) <= order_key(b.tail, params):
+        # With φ(lead) = φ(tail), ``order_key`` ranks lead above tail exactly
+        # when lead's exponent tuple is the lexicographically smaller one.
+        if b.lead.exponents >= b.tail.exponents:
             return False
 
     leads, unit_pairs = [], set()

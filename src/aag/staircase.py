@@ -29,23 +29,27 @@ column lo.  The candidates {lo, hi − 1, last y ≡ 1} cover both signs, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import AagParams
 from .errors import HypothesisViolated, NonsenseInput
 from .euclid import EuclidTable
 
 
-@dataclass(frozen=True, slots=True)
-class StandardPoint:
-    """Plane coordinates (y, z) of a monomial L_i x_k^α x_{k+1}^z."""
-
+class _Point(NamedTuple):
     y: int
     z: int
 
-    def __post_init__(self) -> None:
-        if self.y < 0 or self.z < 0:
-            raise NonsenseInput(f"plane point ({self.y}, {self.z}) has a negative part")
+
+class StandardPoint(_Point):
+    """Plane coordinates (y, z) of a monomial L_i x_k^α x_{k+1}^z."""
+
+    __slots__ = ()
+
+    def __new__(cls, y: int, z: int) -> StandardPoint:
+        if y < 0 or z < 0:
+            raise NonsenseInput(f"plane point ({y}, {z}) has a negative part")
+        return tuple.__new__(cls, (y, z))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, record schema, determinism, dumps."""
 
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from importlib.resources import files
 import jsonschema
 import pytest
 
+import aag
 from aag import oracle
 from aag.cli import (
     EXIT_MISMATCH,
@@ -607,17 +609,26 @@ class TestSerialization:
             assert restored_worker(restored_task) == worker(task)
 
 
+def child_env() -> dict:
+    """This environment with the directory of the imported ``aag`` first
+    on PYTHONPATH, so a child interpreter imports the same package."""
+    package_root = os.path.dirname(os.path.dirname(aag.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestConsoleEntryPoint:
     def test_installed_script_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "aag.cli", *EX1, "--json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == EXIT_USAGE  # module form needs a subcommand first
 
         proc = subprocess.run(
             [sys.executable, "-m", "aag.cli", "analyze", *EX1, "--json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["frobenius"] == 2168
@@ -626,7 +637,7 @@ class TestConsoleEntryPoint:
         # numpy is needed only where the oracle builds a table.
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, aag.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

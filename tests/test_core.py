@@ -338,6 +338,7 @@ class TestMonomial:
         m = monomial(22, x1=1, x20=1, x21=6)
         assert str(m) == "x1*x20*x21^6"
         assert str(monomial(4)) == "1"
+        assert str(Monomial(())) == "1"
         prod = m * monomial(22, x0=2)
         assert prod.exponents[0] == 2 and prod.exponents[21] == 6
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from aag.core import validate_params
 from aag.errors import NonsenseInput
 from aag.euclid import (
+    EuclidRow,
     build_table,
     decompose,
     format_table,
@@ -153,6 +154,48 @@ class TestInvariants:
         t = build_table(params)
         _check_invariants(params, t)
         assert t.hypothesis_ok == (t.pivot.r_prime >= 4 or t.pivot.rho == 0)
+
+
+def _naive_rows(params):
+    """The table by its definition: row 1 is the least s_1 >= 0 with
+    s_1*d ≡ c (mod a), then the ceiling-quotient recurrence down to s = 0."""
+    a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
+    s1 = next(s for s in range(a) if (s * d - c) % a == 0)
+    triples, quotients = [(a, 0, d), (s1, 1, (s1 * d - c) // a)], [None, None]
+    while triples[-1][0] > 0:
+        (s0, p0, r0), (s, p, r) = triples[-2], triples[-1]
+        q = (s0 + s - 1) // s
+        triples.append((q * s - s0, q * p - p0, q * r - r0))
+        quotients.append(q)
+    rows = []
+    for index, ((s, p, r), q) in enumerate(zip(triples, quotients)):
+        sigma, rho, ell = decompose(s, k)
+        rows.append((index, s, p, r, q, sigma, rho, ell, r + h * (sigma + ell)))
+    return rows
+
+
+class TestRowValues:
+    def test_rows_are_immutable(self, ex1):
+        row = build_table(ex1).rows[0]
+        with pytest.raises(AttributeError):
+            row.s = 1
+
+    def test_rows_hash_and_compare_by_value(self, ex1):
+        first, again = build_table(ex1).rows, build_table(ex1).rows
+        assert first == again and first[0] is not again[0]
+        assert hash(first[0]) == hash(again[0])
+        assert len(set(first + again)) == len(first)
+        assert first[0] == EuclidRow(0, 155, 0, 1, None, 7, 15, 1, 33) == (0, 155, 0, 1, None, 7, 15, 1, 33)
+
+    @given(valid_params())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_naive_recurrence(self, params):
+        assert list(build_table(params).rows) == _naive_rows(params)
+
+    @given(valid_params(normalize=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_naive_recurrence_raw(self, params):
+        assert list(build_table(params).rows) == _naive_rows(params)
 
 
 class TestRowCount:

@@ -76,6 +76,12 @@ class TestFamilyA:
         fam = family_A(p)
         assert [str(b) for b in fam] == ["x1^2 - x0*x2 [A]"]
 
+    def test_each_call_returns_a_fresh_list(self):
+        p = validate_params(7, 1, 2, 3, 30, check_minimality=False)
+        fam = family_A(p)
+        fam.clear()
+        assert len(family_A(p)) == 3 and family_A(p) is not family_A(p)
+
     @given(valid_params())
     @settings(max_examples=60, deadline=None)
     def test_count_and_kernel(self, params):
@@ -207,6 +213,30 @@ class TestCertification:
         assert not certify_basis(ex1, t, basis=bcd)
         for i, b in enumerate(fam_a):
             assert not certify_basis(ex1, t, basis=fam_a[:i] + fam_a[i + 1 :] + bcd), str(b)
+
+    def test_swapped_orientation_fails(self, ex1):
+        t = build_table(ex1)
+        basis = family_A(ex1) + families_BCD(ex1, t)
+        first_a = next(i for i, b in enumerate(basis) if b.family == "A")
+        swapped = [i for i, b in enumerate(basis) if b.family != "A"] + [first_a]
+        assert len(swapped) == len(basis) - 190 + 1
+        for i in swapped:
+            b = basis[i]
+            flipped = Binomial(b.tail, b.lead, b.family)
+            assert kernel_check(flipped, ex1)
+            assert not certify_basis(ex1, t, basis=basis[:i] + [flipped] + basis[i + 1 :]), str(b)
+
+    def test_extra_element_with_the_lead_on_the_x0_side_fails(self, ex1):
+        # A lead carrying x0 divides no plane monomial, so the column
+        # profile cannot see such an element: only the leading-term check
+        # rejects it.
+        t = build_table(ex1)
+        basis = family_A(ex1) + families_BCD(ex1, t)
+        rows = row_binomials(t, ex1)
+        assert certify_basis(ex1, t, basis=basis + rows)
+        for b in rows:
+            flipped = Binomial(b.tail, b.lead, b.family)
+            assert not certify_basis(ex1, t, basis=basis + [flipped]), str(b)
 
     def test_wrong_arity_raises(self, ex1):
         t = build_table(ex1)

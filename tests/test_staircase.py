@@ -32,8 +32,19 @@ class TestPlaneMaps:
         assert plane_monomial(45, 1, 20) == monomial(22, x5=1, x20=2, x21=1)
 
     def test_negative_point(self):
-        with pytest.raises(NonsenseInput):
-            StandardPoint(-1, 0)
+        for y, z in ((-1, 0), (0, -1)):
+            with pytest.raises(NonsenseInput):
+                StandardPoint(y, z)
+
+    def test_points_are_immutable_values(self):
+        pt = StandardPoint(21, 6)
+        with pytest.raises(AttributeError):
+            pt.y = 0
+        assert pt == StandardPoint(21, 6) == (21, 6)
+        assert hash(pt) == hash(StandardPoint(21, 6))
+        assert len({pt, StandardPoint(21, 6), StandardPoint(6, 21)}) == 2
+        y, z = pt
+        assert (y, z) == (pt.y, pt.z) == (21, 6)
 
 
 class TestFrozenStaircase:
