@@ -4,7 +4,9 @@ Subcommands
 -----------
 analyze   one tuple in depth (table, Apery data, PF set, verdict, family)
 scan      a parameter grid -> one record per almost-symmetric tuple
-          (or per analyzed tuple with ``--all``), JSON-lines or CSV
+          (or per analyzed tuple with ``--all``), JSON-lines or CSV; the
+          default grid is the reference sweep box, so ``aag scan
+          --hypothesis-only`` reproduces the reference sweep
 verify    cross-check battery (closed forms, table invariants, binomial
           basis, fast-path agreement) over a grid, against the oracle
 table     just the negative-remainder division table for one tuple
@@ -33,10 +35,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from itertools import product
 from multiprocessing import get_context
+from typing import NamedTuple
 
 from . import oracle
 from .classify import (
@@ -117,57 +122,33 @@ def _csv_cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """A rectangular (inclusive) grid of tuples plus scan behavior flags.
+class Grid(NamedTuple):
+    """A rectangular grid of tuples: one range per parameter, strides applied.
 
     Picklable so grid chunks can be fanned out to worker processes; the
     chunking is by (a, d) pair, submitted in lexicographic order, so the
     merged record stream is identical for any worker count.
     """
 
-    a_range: tuple[int, int]
-    d_range: tuple[int, int]
-    c_range: tuple[int, int]
-    k_range: tuple[int, int]
-    h_range: tuple[int, int]
-    stride_a: int = 1
-    stride_c: int = 1
-    hypothesis_only: bool = False
-    oracle_verify: bool = False
-    fast_only: bool = False
-    emit_all: bool = False
+    a: range
+    d: range
+    c: range
+    k: range
+    h: range
 
 
-def _a_values(spec: ScanSpec) -> range:
-    return range(spec.a_range[0], spec.a_range[1] + 1, spec.stride_a)
-
-
-def _c_values(spec: ScanSpec) -> range:
-    return range(spec.c_range[0], spec.c_range[1] + 1, spec.stride_c)
-
-
-def _span(rng: tuple[int, int]) -> range:
-    return range(rng[0], rng[1] + 1)
-
-
-def spec_total(spec: ScanSpec) -> int:
-    """Number of grid cells, computed up front (before any validation)."""
-    return (
-        len(_a_values(spec))
-        * len(_span(spec.d_range))
-        * len(_c_values(spec))
-        * len(_span(spec.k_range))
-        * len(_span(spec.h_range))
+def _grid(args, *, stride_a: int = 1, stride_c: int = 1) -> Grid:
+    """The inclusive ``--NAME-min``/``--NAME-max`` ranges of the parsed arguments."""
+    return Grid(
+        a=range(args.a_min, args.a_max + 1, stride_a),
+        d=range(args.d_min, args.d_max + 1),
+        c=range(args.c_min, args.c_max + 1, stride_c),
+        k=range(args.k_min, args.k_max + 1),
+        h=range(args.h_min, args.h_max + 1),
     )
 
 
-def _grid_chunks(spec: ScanSpec) -> list[tuple[int, int]]:
-    """(a, d) chunk coordinates in lexicographic order."""
-    return [(a, d) for a in _a_values(spec) for d in _span(spec.d_range)]
-
-
-def iter_cells(spec: ScanSpec, a: int, d: int, skips: Counter, *, normalize: bool, reject):
+def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, normalize: bool, reject):
     """Yield (params, table) for the kept (c, k, h) cells of one (a, d) pair.
 
     A cell is dropped, and counted in ``skips`` under the reason, when it
@@ -175,22 +156,20 @@ def iter_cells(spec: ScanSpec, a: int, d: int, skips: Counter, *, normalize: boo
     a reason, or when it is not minimal; the minimality check runs last, so
     rejected cells never pay for it.
     """
-    for c in _c_values(spec):
-        for k in _span(spec.k_range):
-            for h in _span(spec.h_range):
-                try:
-                    p = validate_params(a, d, h, k, c, normalize=normalize, check_minimality=False)
-                except AagError as exc:
-                    skips[type(exc).__name__] += 1
-                    continue
-                t = build_table(p)
-                reason = reject(p, t)
-                if reason is None and not is_minimal(p):
-                    reason = "NotMinimal"
-                if reason is not None:
-                    skips[reason] += 1
-                    continue
-                yield p, t
+    for c, k, h in product(grid.c, grid.k, grid.h):
+        try:
+            p = validate_params(a, d, h, k, c, normalize=normalize, check_minimality=False)
+        except AagError as exc:
+            skips[type(exc).__name__] += 1
+            continue
+        t = build_table(p)
+        reason = reject(p, t)
+        if reason is None and not is_minimal(p):
+            reason = "NotMinimal"
+        if reason is not None:
+            skips[reason] += 1
+            continue
+        yield p, t
 
 
 def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
@@ -203,9 +182,11 @@ def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
     return symmetry_ok and rep.frobenius == cls.frobenius and rep.type == cls.type
 
 
-def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
+def _scan_cell(
+    p: AagParams, t: EuclidTable, *, oracle_verify: bool, fast_only: bool, emit_all: bool
+):
     """Classify one validated cell -> (record | None, skip reason | None)."""
-    if spec.fast_only:
+    if fast_only:
         try:
             cls = fast_path(p)
         except AmbiguousFastPath:
@@ -214,7 +195,7 @@ def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
             return None, None
     else:
         cls = classify(p, t)
-        if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not spec.emit_all:
+        if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not emit_all:
             return None, None
     solved = cls.solved or {}
     record = {
@@ -234,22 +215,24 @@ def _scan_cell(spec: ScanSpec, p: AagParams, t: EuclidTable):
         "fast_path": cls.fast_path_used,
         "hypothesis_ok": t.hypothesis_ok,
     }
-    if spec.oracle_verify:
+    if oracle_verify:
         record["oracle_agrees"] = _oracle_agrees(cls, oracle.oracle_report(list(p.generators)))
     return record, None
 
 
 def _scan_chunk(task):
     """Worker: one (a, d) pair -> (records, skip reasons plus ``"analyzed"``)."""
-    spec, a, d = task
+    grid, a, d, hypothesis_only, oracle_verify, fast_only, emit_all = task
 
     def below_hypothesis(p, t):
-        return "HypothesisFiltered" if spec.hypothesis_only and t.pivot.r_prime < p.h else None
+        return "HypothesisFiltered" if hypothesis_only and t.pivot.r_prime < p.h else None
 
     records: list[dict] = []
     tally: Counter = Counter()
-    for p, t in iter_cells(spec, a, d, tally, normalize=False, reject=below_hypothesis):
-        record, reason = _scan_cell(spec, p, t)
+    for p, t in iter_cells(grid, a, d, tally, normalize=False, reject=below_hypothesis):
+        record, reason = _scan_cell(
+            p, t, oracle_verify=oracle_verify, fast_only=fast_only, emit_all=emit_all
+        )
         tally[reason or "analyzed"] += 1
         if record is not None:
             records.append(record)
@@ -265,10 +248,10 @@ def _verify_reject(p: AagParams, t: EuclidTable):
 def _verify_chunk(task):
     """Worker: the battery on one (a, d) pair -> (first failures, skip
     reasons plus ``"checked"`` and ``"mismatches"``)."""
-    spec, a, d, invert = task
+    grid, a, d, invert = task
     failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
     tally: Counter = Counter()
-    for p, t in iter_cells(spec, a, d, tally, normalize=True, reject=_verify_reject):
+    for p, t in iter_cells(grid, a, d, tally, normalize=True, reject=_verify_reject):
         problems = verify_tuple(p, t, invert_frobenius=invert)
         tally["checked"] += 1
         if problems:
@@ -301,28 +284,11 @@ def _run_chunks(worker, tasks, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _spec_from_args(args, *, fast_only=False, emit_all=False) -> ScanSpec:
-    return ScanSpec(
-        a_range=(args.a_min, args.a_max),
-        d_range=(args.d_min, args.d_max),
-        c_range=(args.c_min, args.c_max),
-        k_range=(args.k_min, args.k_max),
-        h_range=(args.h_min, args.h_max),
-        stride_a=getattr(args, "stride_a", 1),
-        stride_c=getattr(args, "stride_c", 1),
-        hypothesis_only=getattr(args, "hypothesis_only", False),
-        oracle_verify=getattr(args, "oracle_verify", False),
-        fast_only=fast_only,
-        emit_all=emit_all,
-    )
-
-
 def cmd_scan(args) -> int:
     if args.fast_only and args.all:
         raise _UsageError("--fast-only emits only fast-path hits; drop --all")
-    spec = _spec_from_args(args, fast_only=args.fast_only, emit_all=args.all)
-    total = spec_total(spec)
-    print(f"grid: {total} tuples", file=sys.stderr)
+    grid = _grid(args)
+    print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
     try:
         stream = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -330,7 +296,8 @@ def cmd_scan(args) -> int:
         print(f"aag scan: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        tasks = [(spec, a, d) for a, d in _grid_chunks(spec)]
+        flags = (args.hypothesis_only, args.oracle_verify, args.fast_only, args.all)
+        tasks = [(grid, a, d, *flags) for a, d in product(grid.a, grid.d)]
         records, skips = _merge_chunks(_run_chunks(_scan_chunk, tasks, args.workers))
         analyzed = skips.pop("analyzed", 0)
 
@@ -368,11 +335,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    total = spec_total(spec)
-    print(f"grid: {total} tuples", file=sys.stderr)
+    grid = _grid(args, stride_a=args.stride_a, stride_c=args.stride_c)
+    print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
-    tasks = [(spec, a, d, args.self_test_invert) for a, d in _grid_chunks(spec)]
+    tasks = [(grid, a, d, args.self_test_invert) for a, d in product(grid.a, grid.d)]
     failures, tally = _merge_chunks(_run_chunks(_verify_chunk, tasks, args.workers))
     checked = tally.pop("checked", 0)
     mismatches = tally.pop("mismatches", 0)

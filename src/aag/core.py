@@ -115,7 +115,8 @@ def validate_params(
     ``normalize`` is on); positivity of every generator; gcd(a, d) = 1 and
     gcd of all generators = 1; and minimality of the generating system by
     ``is_minimal`` (skippable with ``check_minimality=False`` for callers
-    that check it later or not at all).
+    that check it later or not at all).  A system of k + 2 > m generators,
+    m the smallest, is refused before the generators are built.
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.
     """
@@ -138,6 +139,13 @@ def validate_params(
         raise NonPositiveGenerator(f"ha+kd = {h * a + k * d} is not positive")
     if math.gcd(a, d) != 1:
         raise GcdViolation(f"gcd(a,d) = {math.gcd(a, d)}")
+    smallest = min(a, h * a + d, h * a + k * d, c)
+    if check_minimality and k + 2 > smallest:
+        # Checked before the k + 2 generators are built, so a huge k costs O(1).
+        raise NotMinimal(
+            f"k+2 = {k + 2} generators exceed the smallest generator {smallest}; "
+            "a minimal system has at most that many"
+        )
 
     gens = (a, *(h * a + i * d for i in range(1, k + 1)), c)
     if math.gcd(*gens) != 1:
@@ -283,8 +291,10 @@ def is_minimal(p: AagParams) -> bool:
     """Are the k+2 generators a minimal generating system of S?
 
     Equals ``oracle.is_minimal_generating(list(p.generators))`` on every
-    validated tuple, in time that does not grow with a.  A duplicate
-    generator, or a generator equal to 1, makes the system redundant.
+    validated tuple, in time that does not grow with a.  A minimal system
+    has at most as many generators as its smallest generator m (they lie
+    in distinct classes mod m), so k + 2 > m makes the system redundant,
+    and so does a duplicate generator or a generator equal to 1.
     Otherwise a generator g is redundant exactly when g - g' lies in S for
     a smaller generator g' (the pair criterion of the oracle), so only the
     distinct positive differences are tested: m*|d| for 1 <= m < k, the
@@ -309,7 +319,7 @@ def is_minimal(p: AagParams) -> bool:
     whatever a and h are.
     """
     gens = p.generators
-    if len(set(gens)) != len(gens) or 1 in gens:
+    if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
         return False
     a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
     if d < 0 and h == 1:

@@ -43,7 +43,7 @@ _NUMPY_SAFE_PRODUCT = 1 << 59
 
 
 def max_modulus() -> int:
-    """Size cap: AAG_MAX_A environment variable, default 10**6.
+    """Size cap: AAG_MAX_A environment variable, a positive integer, default 10**6.
 
     It caps the oracle modulus, the length of a division table
     (``euclid.build_table``) and the ``aag analyze --apery`` dump: the
@@ -53,9 +53,12 @@ def max_modulus() -> int:
     if raw is None:
         return DEFAULT_MAX_MODULUS
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise NonsenseInput(f"AAG_MAX_A must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise NonsenseInput(f"AAG_MAX_A must be a positive integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

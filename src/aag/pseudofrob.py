@@ -136,25 +136,6 @@ def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[tuple[int, int, int], s
     )
 
 
-def _values_and_count(
-    pf1: list[StandardPoint], pf2: list[StandardPoint], p: AagParams
-) -> tuple[list[int], int]:
-    """Sorted ``weight(pt) - a`` values over both families, with collision guard.
-
-    The weight map is injective on the pseudo-Frobenius points, so a
-    duplicate value can only mean a dispatch bug; it raises
-    ``DuplicatePfValue`` rather than silently deduplicating.
-    """
-    values = sorted(weight(p, pt) - p.a for pt in (*pf1, *pf2))
-    count = len(values)
-    if len(set(values)) != count:
-        raise DuplicatePfValue(
-            f"pseudo-Frobenius values collide: {values} for a={p.a}, d={p.d}, "
-            f"h={p.h}, k={p.k}, c={p.c}"
-        )
-    return values, count
-
-
 def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
     """Compute both pseudo-Frobenius point families from the pivot data.
 
@@ -185,14 +166,22 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
             f"(clauses {clause1}/{clause2}); the type is always >= 1"
         )
 
-    values, count = _values_and_count(pf1, pf2, p)
-    frob_point = max((*pf1, *pf2), key=lambda pt: weight(p, pt))
+    points = (*pf1, *pf2)
+    weights = [weight(p, pt) for pt in points]
+    values = sorted(w - p.a for w in weights)
+    if len(set(values)) != len(values):
+        # The weight map is injective on the pseudo-Frobenius points, so a
+        # duplicate value can only mean a dispatch bug.
+        raise DuplicatePfValue(
+            f"pseudo-Frobenius values collide: {values} for a={p.a}, d={p.d}, "
+            f"h={p.h}, k={p.k}, c={p.c}"
+        )
     trace = f"PF1: clause {clause1}; PF2: clause {clause2}"
     return PfResult(
         pf1=tuple(pf1),
         pf2=tuple(pf2),
         pf_numbers=tuple(values),
-        type=count,
-        frob_point=frob_point,
+        type=len(values),
+        frob_point=points[weights.index(max(weights))],
         case_trace=trace,
     )

@@ -19,13 +19,12 @@ from aag.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     RECORD_FIELDS,
-    ScanSpec,
+    Grid,
     _enc,
     _scan_chunk,
     _verify_chunk,
     iter_cells,
     main,
-    spec_total,
 )
 from aag.core import validate_params
 from aag.euclid import build_table
@@ -46,6 +45,15 @@ SMALL_GRID = (
     "--c-min", "5", "--c-max", "30",
     "--k-min", "3", "--k-max", "3",
     "--h-min", "1", "--h-max", "2",
+)
+
+# The reference sweep box of acceptance criterion 1.
+SWEEP_BOX = (
+    "--a-min", "150", "--a-max", "165",
+    "--d-min", "-5", "--d-max", "10",
+    "--c-min", "170", "--c-max", "186",
+    "--k-min", "19", "--k-max", "20",
+    "--h-min", "1", "--h-max", "4",
 )
 
 
@@ -297,6 +305,16 @@ class TestScan:
         assert out == ""
         assert "grid: 0 tuples" in err
 
+    def test_default_grid_is_the_reference_sweep(self, capsys):
+        # `aag scan --hypothesis-only` alone reproduces the reference sweep.
+        default = run_cli(capsys, "scan", "--hypothesis-only", "--workers", "2")
+        boxed = run_cli(capsys, "scan", *SWEEP_BOX, "--hypothesis-only", "--workers", "2")
+        assert default == boxed
+        code, out, err = default
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 7
+        assert err.splitlines()[0] == "grid: 34816 tuples"
+
     def test_default_scan_emits_only_almost_symmetric(self, capsys):
         _, out, _ = run_cli(capsys, "scan", *SMALL_GRID)
         records = [json.loads(line) for line in out.splitlines()]
@@ -363,9 +381,7 @@ class TestScan:
         assert len(out_all.splitlines()) == analyzed
 
     def test_cells_are_checked_for_minimality_without_the_oracle(self, monkeypatch):
-        spec = ScanSpec(
-            a_range=(10, 25), d_range=(-2, 2), c_range=(5, 30), k_range=(3, 3), h_range=(1, 2)
-        )
+        grid = Grid(a=range(10, 26), d=range(-2, 3), c=range(5, 31), k=range(3, 4), h=range(1, 3))
         is_minimal_generating = oracle.is_minimal_generating
 
         def refuse(*args, **kwargs):
@@ -378,7 +394,7 @@ class TestScan:
             p
             for a in range(10, 26)
             for d in range(-2, 3)
-            for p, _ in iter_cells(spec, a, d, skips, normalize=False, reject=lambda p, t: None)
+            for p, _ in iter_cells(grid, a, d, skips, normalize=False, reject=lambda p, t: None)
         ]
         monkeypatch.undo()
         assert (len(kept), skips["NotMinimal"]) == (1428, 1068)
@@ -486,8 +502,10 @@ class TestVerify:
         assert "frobenius mismatch" in err
 
     def test_strides_subsample_deterministically(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify", *self.GRID, "--stride-a", "3", "--stride-c", "5")
+        _, out1, err = run_cli(capsys, "verify", *self.GRID, "--stride-a", "3", "--stride-c", "5")
         _, out2, _ = run_cli(capsys, "verify", *self.GRID, "--stride-a", "3", "--stride-c", "5")
+        # a in 10, 13, ..., 28 and c in 5, 10, ..., 40
+        assert err.splitlines()[0] == f"grid: {7 * 7 * 8 * 2 * 2} tuples"
         counts = json.loads(out1)
         assert json.loads(out2) == counts
         assert counts["mismatches"] == 0
@@ -584,25 +602,11 @@ class TestSerialization:
         assert set(SCHEMA["required"]) == set(RECORD_FIELDS)
         assert set(SCHEMA["properties"]) == set(RECORD_FIELDS) | {"oracle_agrees"}
 
-    def test_spec_total_counts_grid_cells(self):
-        spec = ScanSpec(
-            a_range=(1, 4), d_range=(-1, 1), c_range=(2, 5),
-            k_range=(3, 3), h_range=(1, 2),
-        )
-        assert spec_total(spec) == 4 * 3 * 4 * 1 * 2
-        strided = ScanSpec(
-            a_range=(1, 4), d_range=(-1, 1), c_range=(2, 5),
-            k_range=(3, 3), h_range=(1, 2), stride_a=2, stride_c=3,
-        )
-        assert spec_total(strided) == 2 * 3 * 2 * 1 * 2
-
     def test_chunk_tasks_and_workers_survive_pickling(self):
         # Start methods other than fork send each task and worker by pickle.
-        spec = ScanSpec(
-            a_range=(10, 12), d_range=(1, 2), c_range=(5, 30),
-            k_range=(3, 3), h_range=(1, 2), emit_all=True,
-        )
-        for worker, task in ((_scan_chunk, (spec, 11, 2)), (_verify_chunk, (spec, 11, 2, False))):
+        grid = Grid(a=range(10, 13), d=range(1, 3), c=range(5, 31), k=range(3, 4), h=range(1, 3))
+        scan_task = (grid, 11, 2, False, False, False, True)
+        for worker, task in ((_scan_chunk, scan_task), (_verify_chunk, (grid, 11, 2, False))):
             restored_worker, restored_task = pickle.loads(pickle.dumps((worker, task)))
             assert restored_worker is worker
             assert restored_task == task

@@ -111,6 +111,21 @@ class TestValidateErrors:
         p = validate_params(5, 1, 1, 2, 11, check_minimality=False)
         assert p.generators == (5, 6, 7, 11)
 
+    def test_more_generators_than_the_smallest_one(self):
+        # (4, 5, 6, 7) is minimal with k + 2 = 4 generators; k = 3 gives
+        # five generators, one more than the smallest generator 4 allows.
+        assert validate_params(4, 1, 1, 2, 7).generators == (4, 5, 6, 7)
+        with pytest.raises(NotMinimal):
+            validate_params(4, 1, 1, 3, 9)
+        assert not is_minimal(validate_params(4, 1, 1, 3, 9, check_minimality=False))
+
+    def test_huge_k_is_refused_without_building_the_generators(self):
+        start = time.perf_counter()
+        with pytest.raises(NotMinimal) as exc:
+            validate_params(7, 1, 1, 10**12, 11)
+        assert time.perf_counter() - start < 0.1
+        assert len(str(exc.value)) < 200
+
 
 class TestGeneratorInvariants:
     @given(

@@ -141,6 +141,10 @@ class TestErrors:
         monkeypatch.setenv("AAG_MAX_A", "banana")
         with pytest.raises(NonsenseInput):
             apery_oracle([3, 5])
+        for value in ("0", "-5"):
+            monkeypatch.setenv("AAG_MAX_A", value)
+            with pytest.raises(NonsenseInput, match="must be a positive integer"):
+                apery_oracle([3, 5])
 
 
 class TestBackendAgreement:
