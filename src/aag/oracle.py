@@ -139,12 +139,6 @@ def apery_oracle(generators: Sequence[int], modulus: int | None = None) -> list[
     return table
 
 
-# A step at most m // _SLICE_STEP_RATIO walks each cycle as runs of strided
-# slices (2*step slice copies per generator) instead of gathering and
-# scattering through an index array of length m.
-_SLICE_STEP_RATIO = 256
-
-
 def _apery_numpy(gens: list[int], m: int) -> list[int]:
     import numpy as np
 
@@ -155,53 +149,25 @@ def _apery_numpy(gens: list[int], m: int) -> list[int]:
         delta = math.gcd(step, m)
         length = m // delta
         # Residues split into `delta` cycles of length `length` under +step;
-        # row i of `vals` walks cycle i in visiting order from residue i.
-        if step * _SLICE_STEP_RATIO <= m:
-            runs = _cycle_runs(step, m, delta)
-            vals = np.empty((delta, length), dtype=np.int64)
-            for row, offset, pos, n in runs:
-                vals[row, pos : pos + n] = dist[offset::step]
-        else:
-            idx = (
-                np.arange(delta, dtype=np.int64)[:, None]
-                + np.arange(length, dtype=np.int64)[None, :] * step
-            ) % m
-            vals = dist[idx]
+        # row i of `idx` walks cycle i in visiting order from residue i.
+        idx = (
+            np.arange(delta, dtype=np.int64)[:, None]
+            + np.arange(length, dtype=np.int64)[None, :] * step
+        ) % m
+        vals = dist[idx]
         # Cyclic closure for one g, see the module docstring.
         slope = np.arange(length, dtype=np.int64) * g
         vals -= slope
         np.minimum.accumulate(vals, axis=1, out=vals)
         np.minimum(vals, vals[:, -1:] + length * g, out=vals)
         vals += slope
-        if step * _SLICE_STEP_RATIO <= m:
-            for row, offset, pos, n in runs:
-                dist[offset::step] = vals[row, pos : pos + n]
-        else:
-            dist[idx] = vals
+        dist[idx] = vals
     top = int(dist.max())
     # gcd(gens) = 1 guarantees every residue class is hit, with a true value
     # below m*max(gens); anything at sentinel scale would be a bug.
     if top >= _NUMPY_SAFE_PRODUCT:
         raise AssertionError("unreachable residue despite coprime generators")
     return dist.tolist()
-
-
-def _cycle_runs(step: int, m: int, delta: int) -> list[tuple[int, int, int, int]]:
-    """Cycle i of +step mod m (from residue i) as runs ``(i, offset, pos, n)``.
-
-    Each run is the slice ``offset::step`` of the residues (n of them) and
-    sits at positions pos..pos+n-1 of the cycle; the run after the one at
-    ``offset`` starts at ``(offset - m) % step``.  Cycle i holds the offsets
-    congruent to i mod delta.
-    """
-    runs = []
-    for row in range(delta):
-        offset, pos = row, 0
-        for _ in range(step // delta):
-            n = (m - offset + step - 1) // step
-            runs.append((row, offset, pos, n))
-            offset, pos = (offset - m) % step, pos + n
-    return runs
 
 
 def _apery_dijkstra(gens: list[int], m: int) -> list[int]:

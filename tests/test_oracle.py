@@ -163,32 +163,6 @@ class TestBackendAgreement:
             return
         assert _apery_numpy(steps, m) == _apery_dijkstra(steps, m)
 
-    @given(
-        st.integers(256, 3000),
-        st.lists(st.integers(1, 12), min_size=1, max_size=4),
-        st.integers(1, 3000),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_strided_slices_vs_dijkstra(self, m, small, big):
-        # Steps of at most m // 256 walk their cycles as strided slices,
-        # including steps sharing a factor with m; `big` mostly does not.
-        steps = sorted({s + m for s in small} | {big})
-        steps = [g for g in steps if g % m != 0]
-        if not steps or math.gcd(math.gcd(*steps), m) != 1:
-            return
-        assert _apery_numpy(steps, m) == _apery_dijkstra(steps, m)
-
-    def test_strided_slices_frozen(self):
-        # m = 1024 with steps 2 and 3: step 2 splits the residues into two
-        # cycles of 512, the slices 0::2 and 1::2; step 3 is one cycle of three
-        # runs, the slices 0::3, 2::3 and 1::3.
-        m = 1024
-        table = _apery_numpy([m + 2, m + 3], m)
-        assert table == _apery_dijkstra([m + 2, m + 3], m)
-        # 1 mod m: 2x + 3y = m + 1 with the fewest summands, y = 341, x = 1.
-        assert table[1] == 341 * (m + 3) + (m + 2)
-        assert table[2] == m + 2 and table[3] == m + 3 and table[5] == 2 * m + 5
-
     def test_huge_generators_use_exact_path(self):
         # Large enough that m*max(gen) trips the int64 guard.
         big = (1 << 60) + 1
