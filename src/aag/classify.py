@@ -27,8 +27,13 @@ Two routes produce a classification:
   family, take ``p`` from its quadratic (or linear) equation in exact
   integer arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``,
   and accept only when the family's side conditions hold and its synthesis
-  reproduces ``(a, d, c)``.  The two routes agree everywhere (tested); the
-  fast route exists because it needs only a handful of integer operations.
+  reproduces ``(a, d, c)``.  The two routes agree everywhere (tested).
+  The fast route needs no table, but on a short table it is not the
+  cheaper one, because it solves one quadratic per ``l`` below ``k``: at
+  (155, 1, 4, 20, 177) it takes 42 us, about as long as ``build_table``
+  (22 us) and ``classify`` on that table (18 us) together (2-core host,
+  Python 3.11.7, timeit best of 5).  The command line answers through
+  ``classify`` only.
 
 Both routes classify the *raw* presentation: parameters that were rewritten
 during validation (d < 0, h = 1) are converted back before matching, since
@@ -62,7 +67,10 @@ class Classification:
     among ``p``, ``p_prime``, ``sigma``, ``sigma_prime``, ``r``, ``r_hat``,
     ``l``); it is empty when no family matched or the verdict carries no
     family.  ``frobenius`` and ``type`` are always the true values (closed
-    form on the main routes, oracle on the ``OracleOnly`` route).
+    form on the main routes, oracle on the ``OracleOnly`` route), and so is
+    ``pf``, the sorted pseudo-Frobenius numbers, on the routes of
+    :func:`classify`; :func:`fast_path` does not compute it and leaves it
+    empty.
     """
 
     verdict: str
@@ -71,6 +79,7 @@ class Classification:
     type: int = 0
     frobenius: int = 0
     fast_path_used: bool = False
+    pf: tuple[int, ...] = ()
 
 
 def nari_check(pf_numbers: list[int], frob: int) -> bool:
@@ -639,6 +648,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
             type=report.type,
             frobenius=report.frobenius,
             fast_path_used=False,
+            pf=report.pf,
         )
 
     result = pf_tilde(p, t)
@@ -655,6 +665,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
             type=result.type,
             frobenius=frob,
             fast_path_used=False,
+            pf=result.pf_numbers,
         )
 
     hits = match_families(p, t, candidates)
@@ -666,6 +677,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
         type=result.type,
         frobenius=frob,
         fast_path_used=False,
+        pf=result.pf_numbers,
     )
 
 

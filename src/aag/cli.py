@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 validation error,
 64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see ``oracle``), so
 it limits the routes that need the oracle (``OracleOnly`` tuples, ``aag
 oracle``, ``--oracle-verify`` and ``aag verify``); minimality is checked in
-closed form.  It also caps the table length and the ``--apery`` dump.
+closed form.  It also caps the table length, the ``--apery`` dump and the
+generator count k + 2.
 
 Serialization: scans emit JSON-lines (or CSV with the fixed header
 ``a,d,c,k,h,verdict,family,l,p,sigma,r,type,frobenius,fast_path,
@@ -51,11 +52,9 @@ from .classify import (
     VERDICT_SYMMETRIC,
     Classification,
     classify,
-    classify_with_fast_path,
-    fast_path,
 )
 from .core import AagParams, is_minimal, validate_params
-from .errors import AagError, AmbiguousFastPath, NonsenseInput
+from .errors import AagError, NonsenseInput
 from .euclid import EuclidTable, build_table, format_table
 from .grobner import families_BCD, family_A
 from .pseudofrob import pf_tilde
@@ -182,21 +181,11 @@ def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
     return symmetry_ok and rep.frobenius == cls.frobenius and rep.type == cls.type
 
 
-def _scan_cell(
-    p: AagParams, t: EuclidTable, *, oracle_verify: bool, fast_only: bool, emit_all: bool
-):
-    """Classify one validated cell -> (record | None, skip reason | None)."""
-    if fast_only:
-        try:
-            cls = fast_path(p)
-        except AmbiguousFastPath:
-            return None, "AmbiguousFastPath"
-        if cls is None:
-            return None, None
-    else:
-        cls = classify(p, t)
-        if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not emit_all:
-            return None, None
+def _scan_cell(p: AagParams, t: EuclidTable, *, oracle_verify: bool, emit_all: bool):
+    """Classify one validated cell -> its record, or None when it is not emitted."""
+    cls = classify(p, t)
+    if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not emit_all:
+        return None
     solved = cls.solved or {}
     record = {
         "a": p.a,
@@ -217,12 +206,12 @@ def _scan_cell(
     }
     if oracle_verify:
         record["oracle_agrees"] = _oracle_agrees(cls, oracle.oracle_report(list(p.generators)))
-    return record, None
+    return record
 
 
 def _scan_chunk(task):
     """Worker: one (a, d) pair -> (records, skip reasons plus ``"analyzed"``)."""
-    grid, a, d, hypothesis_only, oracle_verify, fast_only, emit_all = task
+    grid, a, d, hypothesis_only, oracle_verify, emit_all = task
 
     def below_hypothesis(p, t):
         return "HypothesisFiltered" if hypothesis_only and t.pivot.r_prime < p.h else None
@@ -230,10 +219,8 @@ def _scan_chunk(task):
     records: list[dict] = []
     tally: Counter = Counter()
     for p, t in iter_cells(grid, a, d, tally, normalize=False, reject=below_hypothesis):
-        record, reason = _scan_cell(
-            p, t, oracle_verify=oracle_verify, fast_only=fast_only, emit_all=emit_all
-        )
-        tally[reason or "analyzed"] += 1
+        record = _scan_cell(p, t, oracle_verify=oracle_verify, emit_all=emit_all)
+        tally["analyzed"] += 1
         if record is not None:
             records.append(record)
     return records, tally
@@ -248,11 +235,11 @@ def _verify_reject(p: AagParams, t: EuclidTable):
 def _verify_chunk(task):
     """Worker: the battery on one (a, d) pair -> (first failures, skip
     reasons plus ``"checked"`` and ``"mismatches"``)."""
-    grid, a, d, invert = task
+    grid, a, d = task
     failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
     tally: Counter = Counter()
     for p, t in iter_cells(grid, a, d, tally, normalize=True, reject=_verify_reject):
-        problems = verify_tuple(p, t, invert_frobenius=invert)
+        problems = verify_tuple(p, t)
         tally["checked"] += 1
         if problems:
             tally["mismatches"] += 1
@@ -285,8 +272,6 @@ def _run_chunks(worker, tasks, workers: int) -> list:
 
 
 def cmd_scan(args) -> int:
-    if args.fast_only and args.all:
-        raise _UsageError("--fast-only emits only fast-path hits; drop --all")
     grid = _grid(args)
     print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
@@ -296,7 +281,7 @@ def cmd_scan(args) -> int:
         print(f"aag scan: error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        flags = (args.hypothesis_only, args.oracle_verify, args.fast_only, args.all)
+        flags = (args.hypothesis_only, args.oracle_verify, args.all)
         tasks = [(grid, a, d, *flags) for a, d in product(grid.a, grid.d)]
         records, skips = _merge_chunks(_run_chunks(_scan_chunk, tasks, args.workers))
         analyzed = skips.pop("analyzed", 0)
@@ -338,7 +323,7 @@ def cmd_verify(args) -> int:
     grid = _grid(args, stride_a=args.stride_a, stride_c=args.stride_c)
     print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
-    tasks = [(grid, a, d, args.self_test_invert) for a, d in product(grid.a, grid.d)]
+    tasks = [(grid, a, d) for a, d in product(grid.a, grid.d)]
     failures, tally = _merge_chunks(_run_chunks(_verify_chunk, tasks, args.workers))
     checked = tally.pop("checked", 0)
     mismatches = tally.pop("mismatches", 0)
@@ -362,17 +347,9 @@ def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable
 
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
-    cls = classify_with_fast_path(p, t) if args.fast else classify(p, t)
-
-    rep = None  # one oracle report, shared by the PF list and --oracle-verify
-    if cls.verdict != VERDICT_ORACLE_ONLY:
-        pf = pf_tilde(p, t)
-        pf_list = list(pf.pf_numbers)
-        trace = pf.case_trace
-    else:
-        rep = oracle.oracle_report(list(p.generators))
-        pf_list = list(rep.pf)
-        trace = None
+    cls = classify(p, t)
+    pf_list = list(cls.pf)
+    trace = None if cls.verdict == VERDICT_ORACLE_ONLY else pf_tilde(p, t).case_trace
 
     report = {
         "params": {"a": args.a, "d": args.d, "h": args.h, "k": args.k, "c": args.c},
@@ -406,7 +383,7 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
         "fast_path_used": cls.fast_path_used,
     }
     if args.oracle_verify:
-        rep = rep or oracle.oracle_report(list(p.generators))
+        rep = oracle.oracle_report(list(p.generators))
         report["oracle_agrees"] = _oracle_agrees(cls, rep) and list(rep.pf) == pf_list
     return report
 
@@ -482,10 +459,6 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _UsageError(Exception):
-    """Raised by subcommands for usage-shaped problems (exit 64)."""
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits 64 (not 2) on usage errors."""
 
@@ -528,7 +501,6 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="analyze one tuple in depth")
     _add_tuple_args(analyze)
-    analyze.add_argument("--fast", action="store_true", help="try the quadratic fast path first")
     analyze.add_argument("--oracle-verify", action="store_true", help="cross-check against the brute-force oracle")
     mode = analyze.add_mutually_exclusive_group()
     mode.add_argument("--json", action="store_true", help="emit a single JSON document")
@@ -553,7 +525,6 @@ def _build_parser() -> _Parser:
         ),
     )
     scan.add_argument("--oracle-verify", action="store_true", help="cross-check every record against the oracle")
-    scan.add_argument("--fast-only", action="store_true", help="use only the quadratic fast path")
     scan.add_argument("--all", action="store_true", help="emit every analyzed tuple, not just almost-symmetric ones")
     scan.add_argument("--explain-skips", action="store_true", help="itemize skip reasons on stderr")
     scan.set_defaults(func=cmd_scan)
@@ -566,11 +537,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("--stride-a", type=_positive_int, default=1, help="subsample a by this step")
     verify.add_argument("--stride-c", type=_positive_int, default=1, help="subsample c by this step")
     verify.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
-    verify.add_argument(
-        "--self-test-invert",
-        action="store_true",
-        help="debug: invert the Frobenius comparator so every check fails",
-    )
     verify.set_defaults(func=cmd_verify)
 
     table = sub.add_parser("table", help="print the division table for one tuple")
@@ -591,8 +557,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except AagError as exc:
         print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}))
         return EXIT_VALIDATION

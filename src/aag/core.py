@@ -32,6 +32,7 @@ from .errors import (
     NonsenseInput,
     NotMinimal,
 )
+from .oracle import max_modulus
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,6 @@ class Monomial:
     def __post_init__(self) -> None:
         if self.exponents and min(self.exponents) < 0:
             raise NonsenseInput(f"negative exponent in {self.exponents}")
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise NonsenseInput("monomial arities differ")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __str__(self) -> str:
         parts = []
@@ -116,7 +112,9 @@ def validate_params(
     gcd of all generators = 1; and minimality of the generating system by
     ``is_minimal`` (skippable with ``check_minimality=False`` for callers
     that check it later or not at all).  A system of k + 2 > m generators,
-    m the smallest, is refused before the generators are built.
+    m the smallest, is refused before the generators are built, and so,
+    whatever ``check_minimality`` says, is k + 2 above the size cap
+    ``oracle.max_modulus()`` (``AAG_MAX_A``): both checks are O(1).
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.
     """
@@ -145,6 +143,13 @@ def validate_params(
         raise NotMinimal(
             f"k+2 = {k + 2} generators exceed the smallest generator {smallest}; "
             "a minimal system has at most that many"
+        )
+    cap = max_modulus()
+    if k + 2 > cap:
+        # A minimal system with more generators has its smallest one above
+        # the cap too; refused here, as an over-long table is, in O(1).
+        raise NonsenseInput(
+            f"k+2 = {k + 2} generators exceed the cap {cap} (set AAG_MAX_A to raise it)"
         )
 
     gens = (a, *(h * a + i * d for i in range(1, k + 1)), c)

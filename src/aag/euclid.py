@@ -74,11 +74,6 @@ class EuclidTable:
     hypothesis_ok: bool
 
     @property
-    def m(self) -> int:
-        """Index of the last row with s > 0."""
-        return len(self.rows) - 2
-
-    @property
     def pivot(self) -> EuclidRow:
         return self.rows[self.mu]
 

@@ -47,8 +47,9 @@ def max_modulus() -> int:
     """Size cap: AAG_MAX_A environment variable, a positive integer, default 10**6.
 
     It caps the oracle modulus, the length of a division table
-    (``euclid.build_table``) and the ``aag analyze --apery`` dump: the
-    computations whose size grows with a.
+    (``euclid.build_table``), the ``aag analyze --apery`` dump and the
+    generator count k + 2 (``core.validate_params``): the computations
+    whose size grows with a or k.
     """
     raw = os.environ.get("AAG_MAX_A")
     if raw is None:

@@ -32,20 +32,12 @@ from .pseudofrob import pf_tilde
 from .staircase import apery_values, frobenius
 
 
-def closed_form_violations(
-    p: AagParams,
-    t: EuclidTable,
-    *,
-    invert_frobenius: bool = False,
-) -> list[str]:
+def closed_form_violations(p: AagParams, t: EuclidTable) -> list[str]:
     """Apery / PF / Frobenius closed forms and minimality against the oracle.
 
     Every tuple that reaches the battery passed ``core.is_minimal``; the
     oracle's Apery table (one table serves every check here) confirms that
     no positive difference of two generators lies in S.
-
-    ``invert_frobenius`` deliberately flips the Frobenius comparison so a
-    harness self-test can prove that mismatches are detected and counted.
     """
     out = []
     rep = oracle.oracle_report(list(p.generators), p.a)
@@ -63,10 +55,7 @@ def closed_form_violations(
         out.append(f"pf mismatch: closed {closed_pf} vs oracle {oracle_pf}")
     closed_f = frobenius(p, t)
     oracle_f = rep.frobenius
-    agree = closed_f == oracle_f
-    if invert_frobenius:
-        agree = not agree
-    if not agree:
+    if closed_f != oracle_f:
         out.append(f"frobenius mismatch: closed {closed_f} vs oracle {oracle_f}")
     return out
 
@@ -178,14 +167,9 @@ def agreement_violations(
     return out
 
 
-def verify_tuple(
-    p: AagParams,
-    t: EuclidTable,
-    *,
-    invert_frobenius: bool = False,
-) -> list[str]:
+def verify_tuple(p: AagParams, t: EuclidTable) -> list[str]:
     """All four check groups on one hypothesis-satisfying tuple."""
-    out = closed_form_violations(p, t, invert_frobenius=invert_frobenius)
+    out = closed_form_violations(p, t)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
     out += agreement_violations(p, t=t)

@@ -2,6 +2,7 @@
 
 import json
 from importlib.resources import files
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -190,7 +191,10 @@ class TestSweepRecords:
         assert r.frobenius == frob
         assert r.fast_path_used is False
 
-    @pytest.mark.parametrize("a,d,c,k,h,family,solved,typ,frob", SWEEP_RECORDS)
+    @pytest.mark.parametrize(
+        "a,d,c,k,h,family,solved,typ,frob",
+        [*SWEEP_RECORDS, (9, 1, 25, 3, 1, "Thm5.4-(v)", {"sigma": 2, "p": 2, "r": -5}, 2, 26)],
+    )
     def test_fast_route(self, a, d, c, k, h, family, solved, typ, frob):
         p = validate_params(a, d, h, k, c)
         r = fast_path(p)
@@ -445,6 +449,32 @@ class TestAgreementAndSoundness:
     @settings(max_examples=150, deadline=None)
     def test_fast_full_agreement(self, p):
         _assert_agreement(p)
+
+    def test_fast_hits_are_full_route_members_on_a_raw_box(self):
+        # Every valid raw-presentation cell of a small box, including the
+        # ones whose table fails the hypothesis: a fast-path hit must be an
+        # almost-symmetric full-route verdict with the same family data.
+        hits = violators = 0
+        for a, d, c, k, h in product(range(3, 26), range(-3, 4), range(2, 41), (3, 4), (1, 2)):
+            try:
+                p = validate_params(a, d, h, k, c, normalize=False)
+            except AagError:
+                continue
+            t = build_table(p)
+            violators += not t.hypothesis_ok
+            fast = fast_path(p)
+            if fast is None:
+                continue
+            hits += 1
+            full = classify(p, t)
+            assert full.verdict == VERDICT_ALMOST_SYMMETRIC, (a, d, c, k, h)
+            assert (fast.family, fast.solved, fast.type, fast.frobenius) == (
+                full.family,
+                full.solved,
+                full.type,
+                full.frobenius,
+            ), (a, d, c, k, h)
+        assert (hits, violators) == (174, 758)
 
     @given(p=valid_params(a_range=(5, 80), c_range=(3, 150), k_range=(2, 6)))
     @settings(max_examples=80, deadline=None)

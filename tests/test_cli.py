@@ -3,15 +3,19 @@
 import json
 import os
 import pickle
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import aag
+import aag.verify
 from aag import oracle
 from aag.cli import (
     EXIT_MISMATCH,
@@ -20,6 +24,7 @@ from aag.cli import (
     EXIT_VALIDATION,
     RECORD_FIELDS,
     Grid,
+    _build_parser,
     _enc,
     _scan_chunk,
     _verify_chunk,
@@ -28,6 +33,7 @@ from aag.cli import (
 )
 from aag.core import validate_params
 from aag.euclid import build_table
+from aag.staircase import frobenius
 from aag.verify import closed_form_violations
 
 SCHEMA = json.loads(
@@ -57,6 +63,11 @@ SWEEP_BOX = (
 )
 
 
+def _off_by_one_frobenius(p, t):
+    """A deliberately wrong closed-form Frobenius number."""
+    return frobenius(p, t) + 1
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -79,9 +90,18 @@ class TestExitCodes:
             main(["analyze", "--a", "5"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_fast_only_conflicts_with_all(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *EX1, "--fast"],
+            ["scan", "--fast-only"],
+            ["verify", "--self-test-invert"],
+        ],
+        ids=["analyze-fast", "scan-fast-only", "verify-self-test-invert"],
+    )
+    def test_removed_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--fast-only", "--all"])
+            main(argv)
         assert exc.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("flag", ["--stride-a", "--stride-c"])
@@ -168,11 +188,11 @@ class TestAnalyze:
         assert doc["fast_path_used"] is False
         assert len(doc["presentation"]["generators"]) == 22
 
-    def test_fast_flag_and_oracle_verify(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", *EX1, "--fast", "--oracle-verify", "--json")
+    def test_oracle_verify_agrees(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", *EX1, "--oracle-verify", "--json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["fast_path_used"] is True
+        assert doc["fast_path_used"] is False
         assert doc["oracle_agrees"] is True
         assert doc["family"] == "Thm5.3-(ii)"
 
@@ -188,9 +208,10 @@ class TestAnalyze:
         assert (doc["type"], doc["frobenius"]) == (2, 2)
         assert doc["oracle_agrees"] is True
 
-    @pytest.mark.parametrize("flags,calls", [((), 2), (("--oracle-verify",), 2)])
+    @pytest.mark.parametrize("flags,calls", [((), 1), (("--oracle-verify",), 2)])
     def test_oracle_only_builds_one_report_itself(self, capsys, monkeypatch, flags, calls):
-        # One report comes from classify's OracleOnly route, one from analyze.
+        # The PF list comes from classify's OracleOnly report; only
+        # --oracle-verify asks the oracle again.
         built = []
         report = oracle.oracle_report
 
@@ -321,22 +342,6 @@ class TestScan:
         assert records
         assert all(r["verdict"] == "AlmostSymmetric" for r in records)
 
-    def test_fast_only_finds_known_member(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan",
-            "--a-min", "9", "--a-max", "9",
-            "--d-min", "1", "--d-max", "1",
-            "--c-min", "25", "--c-max", "25",
-            "--k-min", "3", "--k-max", "3",
-            "--h-min", "1", "--h-max", "1",
-            "--fast-only",
-        )
-        assert code == EXIT_OK
-        (record,) = [json.loads(line) for line in out.splitlines()]
-        assert record["family"] == "Thm5.4-(v)"
-        assert record["fast_path"] is True
-        assert record["frobenius"] == 26
-
     def test_oracle_verify_sets_field_and_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "scan", *SMALL_GRID, "--oracle-verify")
         assert code == EXIT_OK
@@ -449,9 +454,11 @@ class TestVerify:
         assert counts["skipped"] > 0
         assert "grid:" in err
 
-    @pytest.mark.parametrize("flags,mismatches", [((), 0), (("--self-test-invert",), 1307)])
-    def test_small_grid_tallies(self, capsys, flags, mismatches):
-        code, out, _ = run_cli(capsys, "verify", *SMALL_GRID, *flags)
+    @pytest.mark.parametrize("off_by_one,mismatches", [(False, 0), (True, 1307)])
+    def test_small_grid_tallies(self, capsys, monkeypatch, off_by_one, mismatches):
+        if off_by_one:
+            monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        code, out, _ = run_cli(capsys, "verify", *SMALL_GRID)
         assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
         assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
 
@@ -484,7 +491,9 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", *self.GRID, "--workers", "3")
         assert json.loads(out1) == json.loads(out2)
 
-    def test_inverted_comparator_fails_everything(self, capsys):
+    def test_inverted_comparator_fails_everything(self, capsys, monkeypatch):
+        # A broken closed form must fail every checked tuple.
+        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
         code, out, err = run_cli(
             capsys, "verify",
             "--a-min", "10", "--a-max", "16",
@@ -492,7 +501,6 @@ class TestVerify:
             "--c-min", "5", "--c-max", "25",
             "--k-min", "3", "--k-max", "3",
             "--h-min", "1", "--h-max", "1",
-            "--self-test-invert",
         )
         assert code == EXIT_MISMATCH
         counts = json.loads(out)
@@ -605,12 +613,31 @@ class TestSerialization:
     def test_chunk_tasks_and_workers_survive_pickling(self):
         # Start methods other than fork send each task and worker by pickle.
         grid = Grid(a=range(10, 13), d=range(1, 3), c=range(5, 31), k=range(3, 4), h=range(1, 3))
-        scan_task = (grid, 11, 2, False, False, False, True)
-        for worker, task in ((_scan_chunk, scan_task), (_verify_chunk, (grid, 11, 2, False))):
+        scan_task = (grid, 11, 2, False, False, True)
+        for worker, task in ((_scan_chunk, scan_task), (_verify_chunk, (grid, 11, 2))):
             restored_worker, restored_task = pickle.loads(pickle.dumps((worker, task)))
             assert restored_worker is worker
             assert restored_task == task
             assert restored_worker(restored_task) == worker(task)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self, capsys):
+        # Every `aag ...` line of the README's shell blocks; a removed or
+        # misspelled flag makes the parser exit 64.
+        blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("aag ")]
+        assert len(lines) >= 8
+        rejected = []
+        for line in lines:
+            try:
+                _build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                rejected.append(line)
+        assert rejected == [], capsys.readouterr().err
 
 
 def child_env() -> dict:

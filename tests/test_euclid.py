@@ -60,7 +60,6 @@ class TestFrozenTables:
         assert t.rows[-1].s == 0
         assert t.rows[-1].p == 155  # determinant identity at the tail
         assert t.rows[-1].r == -177
-        assert t.m == len(t.rows) - 2
 
     def test_raw_negative_d(self, ex2_raw):
         t = build_table(ex2_raw)

@@ -122,9 +122,9 @@ class TestStructuralInvariants:
             # maximality screen: multiplying by any non-unit generator
             # variable must leave the standard region
             for i in range(1, k + 2):
-                bump = [0] * (k + 2)
-                bump[i] = 1
-                assert m * Monomial(tuple(bump)) not in apery_monomials
+                bumped = list(m.exponents)
+                bumped[i] += 1
+                assert Monomial(tuple(bumped)) not in apery_monomials
         assert list(r.pf_numbers) == sorted(r.pf_numbers)
         assert len(set(r.pf_numbers)) == len(r.pf_numbers)
 
