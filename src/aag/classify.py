@@ -70,7 +70,9 @@ class Classification:
     form on the main routes, oracle on the ``OracleOnly`` route), and so is
     ``pf``, the sorted pseudo-Frobenius numbers, on the routes of
     :func:`classify`; :func:`fast_path` does not compute it and leaves it
-    empty.
+    empty.  ``case_trace`` names the pseudo-Frobenius dispatch clauses that
+    fired (``pseudofrob.PfResult.case_trace``); it is None on the
+    ``OracleOnly`` route and from :func:`fast_path`.
     """
 
     verdict: str
@@ -80,6 +82,7 @@ class Classification:
     frobenius: int = 0
     fast_path_used: bool = False
     pf: tuple[int, ...] = ()
+    case_trace: str | None = None
 
 
 def nari_check(pf_numbers: list[int], frob: int) -> bool:
@@ -666,6 +669,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
             frobenius=frob,
             fast_path_used=False,
             pf=result.pf_numbers,
+            case_trace=result.case_trace,
         )
 
     hits = match_families(p, t, candidates)
@@ -678,6 +682,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
         frobenius=frob,
         fast_path_used=False,
         pf=result.pf_numbers,
+        case_trace=result.case_trace,
     )
 
 

@@ -171,14 +171,21 @@ def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, normalize: bool, r
         yield p, t
 
 
-def _oracle_agrees(cls: Classification, rep: oracle.OracleReport) -> bool:
-    """Does the oracle confirm the verdict's type, Frobenius number and class?"""
+def _oracle_agrees(p: AagParams, cls: Classification) -> bool:
+    """Does the oracle confirm the verdict's class, type, Frobenius number and PF set?
+
+    An ``OracleOnly`` answer is the oracle's own, so it agrees by
+    construction and no second oracle report is built for it.
+    """
+    if cls.verdict == VERDICT_ORACLE_ONLY:
+        return True
+    rep = oracle.oracle_report(list(p.generators))
     symmetry_ok = {
         VERDICT_SYMMETRIC: rep.symmetric,
         VERDICT_ALMOST_SYMMETRIC: rep.almost_symmetric,
         VERDICT_NEITHER: not rep.almost_symmetric,
-    }.get(cls.verdict, True)
-    return symmetry_ok and rep.frobenius == cls.frobenius and rep.type == cls.type
+    }[cls.verdict]
+    return symmetry_ok and (rep.frobenius, rep.type, rep.pf) == (cls.frobenius, cls.type, cls.pf)
 
 
 def _scan_cell(p: AagParams, t: EuclidTable, *, oracle_verify: bool, emit_all: bool):
@@ -205,7 +212,7 @@ def _scan_cell(p: AagParams, t: EuclidTable, *, oracle_verify: bool, emit_all: b
         "hypothesis_ok": t.hypothesis_ok,
     }
     if oracle_verify:
-        record["oracle_agrees"] = _oracle_agrees(cls, oracle.oracle_report(list(p.generators)))
+        record["oracle_agrees"] = _oracle_agrees(p, cls)
     return record
 
 
@@ -348,8 +355,11 @@ def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
     cls = classify(p, t)
-    pf_list = list(cls.pf)
-    trace = None if cls.verdict == VERDICT_ORACLE_ONLY else pf_tilde(p, t).case_trace
+    trace = cls.case_trace
+    if p.normalized and trace is not None:
+        # classify dispatches on the raw presentation; the report shows the
+        # rewritten table, so its trace names that table's clauses.
+        trace = pf_tilde(p, t).case_trace
 
     report = {
         "params": {"a": args.a, "d": args.d, "h": args.h, "k": args.k, "c": args.c},
@@ -375,7 +385,7 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
         "hypothesis_ok": t.hypothesis_ok,
         "frobenius": cls.frobenius,
         "type": cls.type,
-        "pf": pf_list,
+        "pf": list(cls.pf),
         "case_trace": trace,
         "verdict": cls.verdict,
         "family": cls.family,
@@ -383,8 +393,7 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
         "fast_path_used": cls.fast_path_used,
     }
     if args.oracle_verify:
-        rep = oracle.oracle_report(list(p.generators))
-        report["oracle_agrees"] = _oracle_agrees(cls, rep) and list(rep.pf) == pf_list
+        report["oracle_agrees"] = _oracle_agrees(p, cls)
     return report
 
 

@@ -175,11 +175,11 @@ def tilde_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
     k, rows = params.k, table.rows
     return [
         Binomial(
-            plane_monomial(rows[i].s - rows[i + 1].s, rows[i + 1].p - rows[i].p, k),
-            plane_monomial(0, 0, k, tilde_for_pair(table, i, k, params.h)[3]),
+            plane_monomial(lo.s - hi.s, hi.p - lo.p, k),
+            plane_monomial(0, 0, k, tilde_for_pair(lo, hi, k, params.h)[3]),
             "Tilde",
         )
-        for i in range(len(rows) - 1)
+        for lo, hi in zip(rows, rows[1:])
     ]
 
 

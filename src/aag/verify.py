@@ -8,8 +8,9 @@ messages (empty means the tuple passed):
   check that admitted the tuple, against the brute-force oracle.
 * ``euclid_violations``      -- structural invariants of the Euclidean
   table: the row equation, the three determinant identities, s/p/r'
-  monotonicity (and r when d > 0), pivot bracketing, and the
-  consecutive-pair tilde relation with its case split at the pivot.
+  monotonicity (and r when d > 0), pivot bracketing, the stored pivot
+  rows against the rows μ and μ + 1, and the consecutive-pair tilde
+  relation with its case split at the pivot.
 * ``grobner_violations``     -- the generating-set certification plus
   kernel membership of the row and pair binomials.
 * ``agreement_violations``   -- the quadratic fast path against the full
@@ -81,6 +82,8 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
             out.append(f"rows {lo.index},{hi.index}: determinant d identity broken")
         if hi.q is not None and hi.q < 2:
             out.append(f"row {hi.index}: quotient {hi.q} < 2")
+        if tilde_for_pair(lo, hi, k, h)[3] < 2:
+            out.append(f"rows {lo.index},{hi.index}: r~ < 2")
     s_seq = [row.s for row in rows]
     p_seq = [row.p for row in rows]
     rp_seq = [row.r_prime for row in rows]
@@ -98,7 +101,9 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
         out.append("r' does not change sign over the table")
     if not (t.pivot.r_prime > 0 >= t.after_pivot.r_prime):
         out.append("pivot does not bracket the r' sign change")
-    if tilde_for_pair(t, t.mu, k, h) != (
+    if rows[t.mu] != t.pivot or rows[t.mu + 1] != t.after_pivot:
+        out.append("pivot rows disagree with the rows mu, mu+1 of the table")
+    if tilde_for_pair(t.pivot, t.after_pivot, k, h) != (
         t.tilde_sigma,
         t.tilde_rho,
         t.tilde_ell,
@@ -112,9 +117,6 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
             out.append("pivot tilde relation r~ - h != r'_mu - r'_{mu+1}")
     elif t.tilde_r != drop:
         out.append("pivot tilde relation r~ != r'_mu - r'_{mu+1}")
-    for i in range(len(rows) - 1):
-        if tilde_for_pair(t, i, k, h)[3] < 2:
-            out.append(f"pair {i}: r~ < 2")
     return out
 
 

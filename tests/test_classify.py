@@ -1,6 +1,7 @@
 """Tests for the symmetric / almost-symmetric classification routes."""
 
 import json
+import tracemalloc
 from importlib.resources import files
 from itertools import product
 
@@ -35,7 +36,7 @@ from aag.errors import (
     FamilyConstraintViolated,
     MalformedPf,
 )
-from aag.euclid import build_table
+from aag.euclid import EuclidTable, build_table
 
 from conftest import valid_params
 
@@ -496,3 +497,23 @@ class TestAgreementAndSoundness:
         if r.verdict == VERDICT_ALMOST_SYMMETRIC:
             assert 2 <= r.type <= p.k + 1
             assert r.family in ALMOST_SYMMETRIC_FAMILIES
+
+
+class TestKnownCost:
+    def test_long_table_is_classified_from_its_pivot_rows(self, monkeypatch):
+        # c ≡ -d (mod a): the table has a + 1 = 999,984 rows, and classify
+        # must answer without building them.
+        p = validate_params(999_983, 1, 4, 20, 4_999_914)
+
+        def refuse(table):
+            raise AssertionError("classify read the table's rows")
+
+        monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+        tracemalloc.start()
+        try:
+            cls = classify(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cls.verdict, cls.frobenius, cls.type) == (VERDICT_NEITHER, 192_304_692_302, 2)
+        assert peak < 1 << 20

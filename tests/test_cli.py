@@ -16,7 +16,7 @@ import pytest
 
 import aag
 import aag.verify
-from aag import oracle
+from aag import oracle, pseudofrob
 from aag.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -208,10 +208,10 @@ class TestAnalyze:
         assert (doc["type"], doc["frobenius"]) == (2, 2)
         assert doc["oracle_agrees"] is True
 
-    @pytest.mark.parametrize("flags,calls", [((), 1), (("--oracle-verify",), 2)])
+    @pytest.mark.parametrize("flags,calls", [((), 1), (("--oracle-verify",), 1)])
     def test_oracle_only_builds_one_report_itself(self, capsys, monkeypatch, flags, calls):
-        # The PF list comes from classify's OracleOnly report; only
-        # --oracle-verify asks the oracle again.
+        # The PF list comes from classify's OracleOnly report, and
+        # --oracle-verify does not ask the oracle to confirm its own answer.
         built = []
         report = oracle.oracle_report
 
@@ -227,6 +227,34 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(out)["pf"] == [1, 2]
         assert len(built) == calls
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_pf_tilde_runs_once(self, capsys, monkeypatch, flags):
+        # The dispatch trace comes with classify's answer, not from a second run.
+        calls = []
+        pf_tilde = pseudofrob.pf_tilde
+
+        def counting_pf_tilde(*args):
+            calls.append(args)
+            return pf_tilde(*args)
+
+        for module in (pseudofrob, aag.classify, aag.cli, aag.verify):
+            if hasattr(module, "pf_tilde"):
+                monkeypatch.setattr(module, "pf_tilde", counting_pf_tilde)
+        code, out, _ = run_cli(capsys, "analyze", *EX1, *flags)
+        assert code == EXIT_OK
+        assert "PF1: clause" in out
+        assert len(calls) == 1
+
+    def test_trace_of_a_rewritten_tuple_names_the_shown_table(self, capsys):
+        # (163, -2, 1, 19, 170) is shown as its rewrite (125, 2, 1, 19, 170).
+        code, out, _ = run_cli(
+            capsys, "analyze", "--a", "163", "--d=-2", "--h", "1", "--k", "19",
+            "--c", "170", "--json",
+        )
+        assert code == EXIT_OK
+        p = validate_params(163, -2, 1, 19, 170)
+        assert json.loads(out)["case_trace"] == pseudofrob.pf_tilde(p, build_table(p)).case_trace
 
     def test_human_output(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *EX1)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from aag.core import validate_params
-from aag.errors import NonsenseInput
+from aag.errors import AagError, NonsenseInput
 from aag.euclid import (
     EuclidRow,
     build_table,
@@ -115,7 +117,8 @@ def _check_invariants(params, t):
     assert t.mu >= 1
     # Tilde fields agree with the generic pair helper, and the pair
     # comparison falls into exactly the advertised case split.
-    assert tilde_for_pair(t, t.mu, params.k, h) == (
+    assert (rows[t.mu], rows[t.mu + 1]) == (t.pivot, t.after_pivot)
+    assert tilde_for_pair(t.pivot, t.after_pivot, params.k, h) == (
         t.tilde_sigma,
         t.tilde_rho,
         t.tilde_ell,
@@ -128,8 +131,8 @@ def _check_invariants(params, t):
     else:
         assert t.tilde_r == drop
     # r-tilde >= 2 on every consecutive pair.
-    for i in range(len(rows) - 1):
-        assert tilde_for_pair(t, i, params.k, h)[3] >= 2
+    for lo, hi in zip(rows, rows[1:]):
+        assert tilde_for_pair(lo, hi, params.k, h)[3] >= 2
 
 
 class TestInvariants:
@@ -171,6 +174,54 @@ def _naive_rows(params):
         sigma, rho, ell = decompose(s, k)
         rows.append((index, s, p, r, q, sigma, rho, ell, r + h * (sigma + ell)))
     return rows
+
+
+def _full_walk(params):
+    """The table as one full walk: every row, then the first i >= 1 with
+    r'_i <= 0 gives μ = i - 1.  Returns (rows, μ, tilde, hypothesis_ok)."""
+    rows = [EuclidRow(*row) for row in _naive_rows(params)]
+    mu = next(i for i in range(len(rows) - 1) if rows[i + 1].r_prime <= 0)
+    piv, nxt = rows[mu], rows[mu + 1]
+    sigma, rho, ell = decompose(piv.s - nxt.s, params.k)
+    tilde = (sigma, rho, ell, piv.r - nxt.r + params.h * (sigma + ell))
+    return rows, mu, tilde, piv.r_prime >= params.h or piv.rho == 0
+
+
+def _seeded_battery(seed, count):
+    """Validated tuples: random c, and long tables (c ≡ -d mod a, so s_1 = a - 1
+    and the table has a + 1 rows), each in both presentations."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = int(10 ** rng.uniform(0.8, 3.6))
+        d = rng.choice([x for x in range(-9, 10) if x])
+        h, k = rng.randint(1, 4), rng.randint(1, 20)
+        for c in (rng.randint(3, 5 * a), (-d) % a + a * rng.randint(1, 4)):
+            for normalize in (True, False):
+                try:
+                    yield validate_params(a, d, h, k, c, normalize=normalize)
+                except AagError:
+                    pass
+
+
+class TestPivotFirst:
+    def test_equals_the_full_walk(self):
+        long_tables = 0
+        for params in _seeded_battery(20261018, 400):
+            t = build_table(params)
+            assert "rows" not in vars(t)  # the pivot search builds no row list
+            rows, mu, tilde, hypothesis_ok = _full_walk(params)
+            assert (t.mu, t.pivot, t.after_pivot) == (mu, rows[mu], rows[mu + 1])
+            assert (t.tilde_sigma, t.tilde_rho, t.tilde_ell, t.tilde_r) == tilde
+            assert t.hypothesis_ok == hypothesis_ok
+            assert t.rows == tuple(rows)
+            assert len(t.rows) == row_count(params.a, rows[1].s)
+            long_tables += len(rows) == params.a + 1
+        assert long_tables >= 100
+
+    def test_rows_are_built_once(self, ex1):
+        t = build_table(ex1)
+        assert t.rows is t.rows
+        assert t == build_table(ex1)
 
 
 class TestRowValues:

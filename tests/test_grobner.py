@@ -176,9 +176,9 @@ class TestRowAndTilde:
         t = build_table(params)
         tb = tilde_binomials(t, params)
         assert len(tb) == len(t.rows) - 1
-        for i, b in enumerate(tb):
+        for b, lo, hi in zip(tb, t.rows, t.rows[1:]):
             assert kernel_check(b, params)
-            _s, rho, _l, r_tilde = tilde_for_pair(t, i, params.k, params.h)
+            _s, rho, _l, r_tilde = tilde_for_pair(lo, hi, params.k, params.h)
             assert r_tilde >= 2
             if rho > 0:
                 assert r_tilde > params.h
