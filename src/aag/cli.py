@@ -16,8 +16,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 validation error,
 64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see ``oracle``), so
 it limits the routes that need the oracle (``OracleOnly`` tuples, ``aag
 oracle``, ``--oracle-verify`` and ``aag verify``); minimality is checked in
-closed form.  It also caps the table length, the ``--apery`` dump and the
-generator count k + 2.
+closed form.  It also caps the table rows that ``table``, ``analyze`` and
+``verify`` read (not ``scan``), the ``--apery`` dump and k + 2 generators.
 
 Serialization: scans emit JSON-lines (or CSV with the fixed header
 ``a,d,c,k,h,verdict,family,l,p,sigma,r,type,frobenius,fast_path,
@@ -226,7 +226,11 @@ def _scan_chunk(task):
     records: list[dict] = []
     tally: Counter = Counter()
     for p, t in iter_cells(grid, a, d, tally, normalize=False, reject=below_hypothesis):
-        record = _scan_cell(p, t, oracle_verify=oracle_verify, emit_all=emit_all)
+        try:
+            record = _scan_cell(p, t, oracle_verify=oracle_verify, emit_all=emit_all)
+        except NonsenseInput as exc:  # the oracle past its cap; other errors end the scan
+            tally[type(exc).__name__] += 1
+            continue
         tally["analyzed"] += 1
         if record is not None:
             records.append(record)

@@ -147,7 +147,7 @@ def validate_params(
     cap = max_modulus()
     if k + 2 > cap:
         # A minimal system with more generators has its smallest one above
-        # the cap too; refused here, as an over-long table is, in O(1).
+        # the cap too; refused here in O(1).
         raise NonsenseInput(
             f"k+2 = {k + 2} generators exceed the cap {cap} (set AAG_MAX_A to raise it)"
         )

@@ -31,12 +31,12 @@ binomial families, pseudo-Frobenius dispatch) reads only this table.
 
 Cost.  A quotient q followed by a run of quotients 2 continues one
 arithmetic progression in (s, p, r), and a table has O(log a) such runs
-(see ``row_count``), so ``build_table`` finds the pivot by bisecting r'
+(see ``_runs``), so ``build_table`` finds the pivot by bisecting r'
 inside the run where it changes sign: the pivot data (μ, the rows μ and
 μ + 1, the tilde fields, the hypothesis) cost O(log a) steps whatever the
 table's length.  ``EuclidTable.rows`` expands the same runs into every
 row the first time it is read and keeps them: Θ(a) time and memory on a
-long table.
+long table, and the one part that the size cap AAG_MAX_A limits.
 """
 
 from __future__ import annotations
@@ -106,12 +106,21 @@ class EuclidTable:
     def rows(self) -> tuple[EuclidRow, ...]:
         """All rows 0..m+1 (s_{m+1} = 0), built on first read and kept.
 
-        Θ(a) time and memory on a long table; the pivot data do not need them.
+        Θ(a) time and memory on a long table, so more than AAG_MAX_A + 1
+        rows (``oracle.max_modulus``), counted from the runs, raise
+        ``NonsenseInput`` before any is built; the pivot data do not need them.
         """
         params = self.params
-        k, h = params.k, params.h
+        a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
+        runs = list(_runs(a, d, *_second_row(params)))
+        total, cap = sum(run.count for run in runs), max_modulus()
+        if total > cap + 1:
+            raise NonsenseInput(
+                f"the table of (a={a}, d={d}, h={h}, k={k}, c={c}) has {total} rows, "
+                f"above the cap of {cap + 1} (set AAG_MAX_A to raise it)"
+            )
         rows: list[EuclidRow] = []
-        for start, s, p, r, ds, dp, dr, count, q in _runs(params.a, params.d, *_second_row(params)):
+        for start, s, p, r, ds, dp, dr, count, q in runs:
             for index in range(start, start + count):
                 rows.append(_make_row(index, s, p, r, q, k, h))
                 s, p, r, q = s + ds, p + dp, r + dr, 2
@@ -164,24 +173,6 @@ def tilde_for_pair(lo: EuclidRow, hi: EuclidRow, k: int, h: int) -> tuple[int, i
     return sigma, rho, ell, lo.r - hi.r + h * (sigma + ell)
 
 
-def row_count(a: int, s1: int) -> int:
-    """Number of rows of the table that starts with s_0 = a, s_1 = s1.
-
-    The quotients q_2, q_3, ... are the negative-regular continued
-    fraction of a/s1.  It turns each regular partial quotient a_i of a/s1
-    with i even into one quotient and each a_i with i odd into a_i - 1
-    quotients equal to 2 (Popescu-Pampu, *The geometry of continued
-    fractions and the topology of surface singularities*, 2007), so the
-    count takes O(log a) steps however long the table is.
-    """
-    count, i = 2, 0
-    while s1:
-        quotient = a // s1
-        count += 1 if i % 2 == 0 else quotient - 1
-        a, s1, i = s1, a % s1, i + 1
-    return count
-
-
 def _second_row(params: AagParams) -> tuple[int, int]:
     """(s_1, r_1): the least s_1 >= 0 with s_1·d ≡ c (mod a), and its r."""
     a, d, c = params.a, params.d, params.c
@@ -200,7 +191,12 @@ def _runs(a: int, d: int, s1: int, r1: int) -> Iterator[_Run]:
     keep its difference (ds, dp, dr), and the quotient stays 2 while
     s_i >= s_{i-1} - s_i: a run that opens at s has 1 + s // -ds rows.  A
     run ends where the next quotient exceeds 2, so only the first run can
-    open with q = 2, and a table has O(log a) runs (see ``row_count``).
+    open with q = 2.  The quotients q_2, q_3, ... are the negative-regular
+    continued fraction of a/s_1, which turns each regular partial quotient
+    a_i of a/s_1 into one quotient (i even) or a_i - 1 quotients 2 (i odd)
+    (Popescu-Pampu, *The geometry of continued fractions and the topology
+    of surface singularities*, 2007), so a table has O(log a) runs.  This
+    is the one walker of a table: pivot, row count and rows.
     """
     yield _Run(0, a, 0, d, 0, 0, 0, 1, None)
     yield _Run(1, s1, 1, r1, 0, 0, 0, 1, None)
@@ -220,20 +216,12 @@ def build_table(params: AagParams) -> EuclidTable:
 
     Walks the table run by run and bisects r' inside the run where it
     changes sign, so the pivot data cost O(log a) steps however long the
-    table is; only the rows μ and μ + 1 are built.  The full row list
-    (``EuclidTable.rows``) is built from the same runs on first read.  A
-    table has at most a + 1 rows, and one with more than AAG_MAX_A + 1
-    (see ``oracle.max_modulus``) is refused with ``NonsenseInput``.
+    table is; only the rows μ and μ + 1 are built, and no table is refused
+    for its length.  The full row list (``EuclidTable.rows``) is built from
+    the same runs on first read, and only it is capped by AAG_MAX_A.
     """
     a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
     s1, r1 = _second_row(params)
-    count, cap = row_count(a, s1), max_modulus()
-    if count > cap + 1:
-        raise NonsenseInput(
-            f"the table of (a={a}, d={d}, h={h}, k={k}, c={c}) has {count} rows, "
-            f"above the cap of {cap + 1} (set AAG_MAX_A to raise it)"
-        )
-
     # r' strictly decreases, so the first row i >= 1 with r'_i <= 0 sits in
     # the first run (after row 0) whose last row has r' <= 0.
     previous = piv = None

@@ -46,10 +46,10 @@ _NUMPY_SAFE_PRODUCT = 1 << 59
 def max_modulus() -> int:
     """Size cap: AAG_MAX_A environment variable, a positive integer, default 10**6.
 
-    It caps the oracle modulus, the length of a division table
-    (``euclid.build_table``), the ``aag analyze --apery`` dump and the
-    generator count k + 2 (``core.validate_params``): the computations
-    whose size grows with a or k.
+    It caps the oracle modulus, the rows of a division table
+    (``euclid.EuclidTable.rows``; the table's pivot data are not capped),
+    the ``aag analyze --apery`` dump and the generator count k + 2
+    (``core.validate_params``): the computations whose size grows with a or k.
     """
     raw = os.environ.get("AAG_MAX_A")
     if raw is None:

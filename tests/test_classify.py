@@ -500,15 +500,17 @@ class TestAgreementAndSoundness:
 
 
 class TestKnownCost:
-    def test_long_table_is_classified_from_its_pivot_rows(self, monkeypatch):
-        # c ≡ -d (mod a): the table has a + 1 = 999,984 rows, and classify
-        # must answer without building them.
-        p = validate_params(999_983, 1, 4, 20, 4_999_914)
-
+    @pytest.fixture(autouse=True)
+    def refuse_rows(self, monkeypatch):
         def refuse(table):
             raise AssertionError("classify read the table's rows")
 
         monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+
+    def test_long_table_is_classified_from_its_pivot_rows(self):
+        # c ≡ -d (mod a): the table has a + 1 = 999,984 rows, and classify
+        # must answer without building them.
+        p = validate_params(999_983, 1, 4, 20, 4_999_914)
         tracemalloc.start()
         try:
             cls = classify(p)
@@ -516,4 +518,26 @@ class TestKnownCost:
         finally:
             tracemalloc.stop()
         assert (cls.verdict, cls.frobenius, cls.type) == (VERDICT_NEITHER, 192_304_692_302, 2)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "a,frobenius",
+        [
+            (1019, 199_684),
+            (1_000_001, 192_308_153_846),
+            (1_000_000_019, 192_307_699_615_384_684),
+            (10**12 + 1, 192_307_692_308_153_846_153_846),
+        ],
+    )
+    def test_long_tables_cost_the_same_at_any_scale(self, a, frobenius):
+        # (a, 1, 4, 20, 5a - 1) has a + 1 rows, past the default row cap
+        # from a = 10**6 on; validation (minimality checked) and classify
+        # read only the pivot rows, so the memory bound does not grow with a.
+        tracemalloc.start()
+        try:
+            cls = classify(validate_params(a, 1, 4, 20, 5 * a - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cls.verdict, cls.type, cls.frobenius) == (VERDICT_NEITHER, 20, frobenius)
         assert peak < 1 << 20

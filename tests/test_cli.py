@@ -32,6 +32,7 @@ from aag.cli import (
     main,
 )
 from aag.core import validate_params
+from aag.errors import InternalDispatchGap
 from aag.euclid import build_table
 from aag.staircase import frobenius
 from aag.verify import closed_form_violations
@@ -462,6 +463,47 @@ class TestScan:
         assert int(err_hyp.split("analyzed ")[1].split(";")[0]) <= int(
             err_all.split("analyzed ")[1].split(";")[0]
         )
+
+    def test_a_table_past_the_row_cap_is_still_scanned(self, capsys, monkeypatch):
+        # c ≡ -d (mod a): 1020 rows, above the cap of 1001; scan reads only
+        # the pivot rows.
+        monkeypatch.setenv("AAG_MAX_A", "1000")
+        code, out, err = run_cli(
+            capsys, "scan", "--a-min", "1019", "--a-max", "1019", "--d-min", "1", "--d-max", "1",
+            "--c-min", "5094", "--c-max", "5094", "--k-min", "20", "--k-max", "20",
+            "--h-min", "4", "--h-max", "4", "--all",
+        )
+        assert code == EXIT_OK
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert (record["verdict"], record["type"], record["frobenius"]) == ("NeitherSpecial", 20, 199684)
+        assert err.splitlines()[1] == "emitted 1 records; analyzed 1; skipped 0"
+
+    def test_oracle_only_cells_past_the_oracle_cap_are_skipped(self, capsys):
+        # a = 1000003 is above the default oracle cap: the k < 3 cells are
+        # OracleOnly and are skipped, the k = 3 cell is closed form.
+        code, out, err = run_cli(
+            capsys, "scan", "--a-min", "1000003", "--a-max", "1000003", "--d-min", "1", "--d-max", "2",
+            "--c-min", "2000009", "--c-max", "2000010", "--k-min", "1", "--k-max", "3",
+            "--h-min", "1", "--h-max", "1", "--all", "--explain-skips",
+        )
+        assert code == EXIT_OK
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert (record["a"], record["d"], record["c"], record["k"]) == (1000003, 2, 2000009, 3)
+        assert err.splitlines()[1:] == [
+            "emitted 1 records; analyzed 1; skipped 11",
+            "skips by reason:",
+            "  NonsenseInput: 4",
+            "  NotMinimal: 7",
+        ]
+
+    def test_other_errors_still_end_the_scan(self, capsys, monkeypatch):
+        def gap(p, t):
+            raise InternalDispatchGap("no clause")
+
+        monkeypatch.setattr("aag.cli.classify", gap)
+        code, out, _ = run_cli(capsys, "scan", *SMALL_GRID)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "InternalDispatchGap"
 
 
 class TestVerify:

@@ -7,6 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from aag import oracle
+from aag.classify import VERDICT_NEITHER, classify
 from aag.core import validate_params
 from aag.errors import AagError, NonsenseInput
 from aag.euclid import (
@@ -14,7 +16,6 @@ from aag.euclid import (
     build_table,
     decompose,
     format_table,
-    row_count,
     tilde_for_pair,
 )
 
@@ -214,7 +215,6 @@ class TestPivotFirst:
             assert (t.tilde_sigma, t.tilde_rho, t.tilde_ell, t.tilde_r) == tilde
             assert t.hypothesis_ok == hypothesis_ok
             assert t.rows == tuple(rows)
-            assert len(t.rows) == row_count(params.a, rows[1].s)
             long_tables += len(rows) == params.a + 1
         assert long_tables >= 100
 
@@ -252,19 +252,36 @@ class TestRowCount:
     @given(valid_params(normalize=False))
     @settings(max_examples=250, deadline=None)
     def test_matches_the_built_table(self, params):
-        t = build_table(params)
-        assert row_count(params.a, t.rows[1].s) == len(t.rows)
+        # The rows' cap counts them from the runs: one row over the cap they
+        # refuse, naming exactly as many rows as they have; at the cap they build.
+        n = len(build_table(params).rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("AAG_MAX_A", str(n - 2))
+            with pytest.raises(NonsenseInput, match=f"has {n} rows,"):
+                build_table(params).rows
+            mp.setenv("AAG_MAX_A", str(n - 1))
+            assert len(build_table(params).rows) == n
 
     def test_long_table_counts_a_plus_one_rows(self):
-        # s_1 = a - 1 gives quotient 2 all the way down.
-        assert row_count(10**12 + 39, 10**12 + 38) == 10**12 + 40
+        # c ≡ -d (mod a) gives s_1 = a - 1 and quotient 2 all the way down;
+        # the count comes from the runs, before any row is built.
+        a = 10**12 + 39
+        t = build_table(validate_params(a, 1, 4, 20, 5 * a - 1))
+        with pytest.raises(NonsenseInput, match="has 1000000000040 rows,"):
+            t.rows
 
-    def test_tables_above_the_cap_are_refused_before_building(self, monkeypatch):
+    def test_past_the_cap_the_table_answers_but_its_rows_refuse(self, monkeypatch):
         monkeypatch.setenv("AAG_MAX_A", "1000")
-        # c = 2a - 1 with d = 1: s_1 = a - 1, so the table has a + 1 rows.
-        assert len(build_table(validate_params(997, 1, 1, 3, 1993)).rows) == 998
-        with pytest.raises(NonsenseInput, match="1010 rows"):
-            build_table(validate_params(1009, 1, 1, 3, 2017))
-        # A short table is built whatever a is.
+        # c ≡ -d (mod a): a + 1 = 1020 rows, above the cap of 1001.
+        p = validate_params(1019, 1, 4, 20, 5094)
+        t = build_table(p)
+        cls = classify(p, t)
+        assert (cls.verdict, cls.type, cls.frobenius) == (VERDICT_NEITHER, 20, 199684)
+        with pytest.raises(NonsenseInput, match="has 1020 rows, above the cap of 1001"):
+            t.rows
+        # A short table's rows are built whatever a is.
         assert len(build_table(validate_params(999_999_991, -45_454_537, 4, 20, 177)).rows) == 24
-
+        monkeypatch.delenv("AAG_MAX_A")
+        rep = oracle.oracle_report(list(p.generators))
+        assert (rep.frobenius, rep.type, rep.pf) == (cls.frobenius, cls.type, cls.pf)
+        assert len(t.rows) == 1020
