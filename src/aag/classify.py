@@ -35,9 +35,12 @@ Two routes produce a classification:
   Python 3.11.7, timeit best of 5).  The command line answers through
   ``classify`` only.
 
-Both routes classify the *raw* presentation: parameters that were rewritten
-during validation (d < 0, h = 1) are converted back before matching, since
-the family tables are stated for the original generator tuple.
+Both routes match families on the *raw* presentation: parameters that were
+rewritten during validation (d < 0, h = 1) are converted back before
+matching, since the family tables are stated for the original generator
+tuple.  The verdict, type, PF set and Frobenius number depend only on the
+generator set, so ``classify`` takes them from the caller's table in
+either presentation.
 """
 
 from __future__ import annotations
@@ -634,14 +637,13 @@ def family_generate(family: str, params: dict[str, int]) -> AagParams:
 def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
     """Classify a validated tuple via the Euclidean table and the families.
 
-    ``t`` is the caller's table of ``p``; it is reused unless ``p`` is the
-    rewritten d < 0, h = 1 presentation, whose table is not the one the
-    families are matched on.
+    ``t`` is the caller's table of ``p`` (built when None).  The verdict,
+    type, PF set, Frobenius number and dispatch trace come from it in either
+    presentation; only a Symmetric or AlmostSymmetric verdict on a rewritten
+    d < 0, h = 1 tuple builds the raw table, to match the family fingerprints.
     """
-    raw = _raw_presentation(p)
-    if t is None or raw is not p:
-        t = build_table(raw)
-    p = raw
+    if t is None:
+        t = build_table(p)
     if p.k < 3 or not t.hypothesis_ok:
         report = oracle.oracle_report(list(p.generators))
         return Classification(
@@ -672,7 +674,8 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
             case_trace=result.case_trace,
         )
 
-    hits = match_families(p, t, candidates)
+    raw = _raw_presentation(p)
+    hits = match_families(raw, t if raw is p else build_table(raw), candidates)
     family, solved = hits[0] if hits else (None, {})
     return Classification(
         verdict=verdict,

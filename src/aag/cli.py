@@ -18,6 +18,7 @@ it limits the routes that need the oracle (``OracleOnly`` tuples, ``aag
 oracle``, ``--oracle-verify`` and ``aag verify``); minimality is checked in
 closed form.  It also caps the table rows that ``table``, ``analyze`` and
 ``verify`` read (not ``scan``), the ``--apery`` dump and k + 2 generators.
+An invalid ``AAG_MAX_A`` exits 2 before any command runs.
 
 Serialization: scans emit JSON-lines (or CSV with the fixed header
 ``a,d,c,k,h,verdict,family,l,p,sigma,r,type,frobenius,fast_path,
@@ -57,7 +58,6 @@ from .core import AagParams, is_minimal, validate_params
 from .errors import AagError, NonsenseInput
 from .euclid import EuclidTable, build_table, format_table
 from .grobner import families_BCD, family_A
-from .pseudofrob import pf_tilde
 from .staircase import apery_values, iter_apery_points
 from .verify import verify_tuple
 
@@ -147,17 +147,19 @@ def _grid(args, *, stride_a: int = 1, stride_c: int = 1) -> Grid:
     )
 
 
-def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, normalize: bool, reject):
+def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, reject):
     """Yield (params, table) for the kept (c, k, h) cells of one (a, d) pair.
 
-    A cell is dropped, and counted in ``skips`` under the reason, when it
+    Each cell is validated as given, with no d < 0, h = 1 rewrite, so
+    ``scan`` and ``verify`` answer in the presentation of the record.  A
+    cell is dropped, and counted in ``skips`` under the reason, when it
     fails validation (the error's class name), when ``reject(p, t)`` names
     a reason, or when it is not minimal; the minimality check runs last, so
     rejected cells never pay for it.
     """
     for c, k, h in product(grid.c, grid.k, grid.h):
         try:
-            p = validate_params(a, d, h, k, c, normalize=normalize, check_minimality=False)
+            p = validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
         except AagError as exc:
             skips[type(exc).__name__] += 1
             continue
@@ -225,7 +227,7 @@ def _scan_chunk(task):
 
     records: list[dict] = []
     tally: Counter = Counter()
-    for p, t in iter_cells(grid, a, d, tally, normalize=False, reject=below_hypothesis):
+    for p, t in iter_cells(grid, a, d, tally, reject=below_hypothesis):
         try:
             record = _scan_cell(p, t, oracle_verify=oracle_verify, emit_all=emit_all)
         except NonsenseInput as exc:  # the oracle past its cap; other errors end the scan
@@ -249,7 +251,7 @@ def _verify_chunk(task):
     grid, a, d = task
     failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
     tally: Counter = Counter()
-    for p, t in iter_cells(grid, a, d, tally, normalize=True, reject=_verify_reject):
+    for p, t in iter_cells(grid, a, d, tally, reject=_verify_reject):
         problems = verify_tuple(p, t)
         tally["checked"] += 1
         if problems:
@@ -359,12 +361,6 @@ def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
     cls = classify(p, t)
-    trace = cls.case_trace
-    if p.normalized and trace is not None:
-        # classify dispatches on the raw presentation; the report shows the
-        # rewritten table, so its trace names that table's clauses.
-        trace = pf_tilde(p, t).case_trace
-
     report = {
         "params": {"a": args.a, "d": args.d, "h": args.h, "k": args.k, "c": args.c},
         "presentation": {
@@ -390,7 +386,7 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
         "frobenius": cls.frobenius,
         "type": cls.type,
         "pf": list(cls.pf),
-        "case_trace": trace,
+        "case_trace": cls.case_trace,
         "verdict": cls.verdict,
         "family": cls.family,
         "solved": cls.solved,
@@ -569,6 +565,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        oracle.max_modulus()  # an invalid AAG_MAX_A ends the run once, not per cell
         return args.func(args)
     except AagError as exc:
         print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}))

@@ -145,7 +145,7 @@ def decompose(s: int, k: int) -> tuple[int, int, int]:
 def _make_row(index: int, s: int, p: int, r: int, q: int | None, k: int, h: int) -> EuclidRow:
     # ``decompose`` inlined: k >= 1 is validated and the recurrence keeps
     # s >= 0, so its checks cannot fire here; verify.euclid_violations
-    # rechecks s = σk + lρ on every row it reads.
+    # compares every row it reads with ``decompose``.
     sigma, rho = divmod(s, k)
     ell = 1 if rho else 0
     return EuclidRow(index, s, p, r, q, sigma, rho, ell, r + h * (sigma + ell))

@@ -16,9 +16,10 @@ straight from the Euclidean table:
      M(Δs + j, Δp) - x0^{r̃ - h} M(j, 0); empty when s_{μ+1} = 0
   D: M(0, p_{μ+1}) - x0^{-r'_{μ+1}} M(s_{μ+1}, 0)
 
-plus two families used as cross-checks: one binomial per table row
-("Row", M(s, 0) against x0^{r'} M(0, p)) and one per consecutive row pair
-("Tilde").
+plus two kernel families that the tests check: one binomial per table
+row ("Row", M(s, 0) against x0^{r'} M(0, p)) and one per consecutive row
+pair ("Tilde").  The ``aag verify`` battery does not build them, since its
+table invariants imply their kernel membership (see ``verify``).
 
 ``certify_basis`` checks the Groebner-basis property of G = A∪B∪C∪D
 without any S-polynomial machinery: under the weighted degrevlex order

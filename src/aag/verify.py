@@ -7,18 +7,25 @@ messages (empty means the tuple passed):
   Frobenius number from the closed forms, and the closed-form minimality
   check that admitted the tuple, against the brute-force oracle.
 * ``euclid_violations``      -- structural invariants of the Euclidean
-  table: the row equation, the three determinant identities, s/p/r'
-  monotonicity (and r when d > 0), pivot bracketing, the stored pivot
-  rows against the rows μ and μ + 1, and the consecutive-pair tilde
-  relation with its case split at the pivot.
-* ``grobner_violations``     -- the generating-set certification plus
-  kernel membership of the row and pair binomials.
+  table: the row equation, the canonical decomposition of s and r', the
+  three determinant identities, s/p/r' monotonicity (and r when d > 0),
+  pivot bracketing, the stored pivot rows against the rows μ and μ + 1,
+  and the consecutive-pair tilde relation with its case split at the
+  pivot.
+* ``grobner_violations``     -- the generating-set certification.
 * ``agreement_violations``   -- the quadratic fast path against the full
   classification route: an almost-symmetric verdict with a family must be
   reproduced exactly; anything else must leave the fast path silent.
 
-``verify_tuple`` runs all four.  The battery only applies to tuples whose
-table satisfies the staircase hypothesis (callers skip the rest).
+``verify_tuple`` runs all four on the presentation it is given (``aag
+verify`` walks the raw one, as ``aag scan`` does; the acceptance tests
+also check the rewritten d < 0, h = 1 one).  The battery only applies to
+tuples whose table satisfies the staircase hypothesis (callers skip the
+rest).  It checks each fact once: φ(M(s, 0)) = ha⌈s/k⌉ + sd and
+φ(M(0, p)) = pc, so the row equation, r' = r + h(σ + l) and
+(σ, ρ, l) = decompose(s, k) put every row binomial of
+``grobner.row_binomials`` in the kernel, and the row equations of two
+rows put their ``grobner.tilde_binomials`` pair binomial there too.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from . import oracle
 from .classify import VERDICT_ALMOST_SYMMETRIC, Classification, classify, fast_path
 from .core import AagParams
 from .errors import AmbiguousFastPath
-from .euclid import EuclidTable, tilde_for_pair
-from .grobner import certify_basis, kernel_check, row_binomials, tilde_binomials
+from .euclid import EuclidTable, decompose, tilde_for_pair
+from .grobner import certify_basis
 from .pseudofrob import pf_tilde
 from .staircase import apery_values, frobenius
 
@@ -69,7 +76,7 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
     for row in rows:
         if row.s * d - row.p * c != row.r * a:
             out.append(f"row {row.index}: s*d - p*c != r*a")
-        if row.s != row.sigma * k + row.ell * row.rho:
+        if (row.sigma, row.rho, row.ell) != decompose(row.s, k):
             out.append(f"row {row.index}: s decomposition broken")
         if row.r_prime != row.r + h * (row.sigma + row.ell):
             out.append(f"row {row.index}: r' != r + h(sigma+ell)")
@@ -121,31 +128,13 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
 
 
 def grobner_violations(p: AagParams, t: EuclidTable) -> list[str]:
-    """Generating-set certification plus row/pair kernel membership."""
+    """Generating-set certification of A∪B∪C∪D."""
+    return [] if certify_basis(p, t) else ["basis certification failed"]
+
+
+def agreement_violations(p: AagParams, full: Classification) -> list[str]:
+    """Fast-path route against ``full``, the full route's classification of ``p``."""
     out = []
-    if not certify_basis(p, t):
-        out.append("basis certification failed")
-    for b in row_binomials(t, p):
-        if not kernel_check(b, p):
-            out.append(f"row binomial not in kernel: {b}")
-    for b in tilde_binomials(t, p):
-        if not kernel_check(b, p):
-            out.append(f"pair binomial not in kernel: {b}")
-    return out
-
-
-def agreement_violations(
-    p: AagParams, full: Classification | None = None, t: EuclidTable | None = None
-) -> list[str]:
-    """Fast-path route against the full classification route.
-
-    Pass a precomputed full-route ``Classification`` to avoid repeating it
-    when the caller already has one, or the tuple's table ``t`` for
-    ``classify`` to reuse.
-    """
-    out = []
-    if full is None:
-        full = classify(p, t)
     try:
         fast = fast_path(p)
     except AmbiguousFastPath as exc:
@@ -174,5 +163,5 @@ def verify_tuple(p: AagParams, t: EuclidTable) -> list[str]:
     out = closed_form_violations(p, t)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
-    out += agreement_violations(p, t=t)
+    out += agreement_violations(p, classify(p, t))
     return out

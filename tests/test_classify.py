@@ -168,6 +168,23 @@ class TestRawPresentation:
         raw = validate_params(163, -2, 1, 19, 170, normalize=False)
         assert _raw_presentation(p) == raw
 
+    def test_rewritten_neither_tuple_is_answered_on_the_callers_table(self, monkeypatch):
+        # (150, -1, 1, 19, 170) is rewritten to (131, 1, 1, 19, 170); a
+        # NeitherSpecial verdict matches no family, so no raw table is built.
+        p = validate_params(150, -1, 1, 19, 170)
+        t = build_table(p)
+        expected = classify(_raw_presentation(p))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify built a table")
+
+        monkeypatch.setattr(classify_module, "build_table", refuse)
+        cls = classify(p, t)
+        assert (cls.verdict, cls.type, cls.frobenius) == (VERDICT_NEITHER, 32, 523)
+        assert (cls.verdict, cls.type, cls.frobenius, cls.pf) == (
+            expected.verdict, expected.type, expected.frobenius, expected.pf,
+        )
+
     def test_fast_path_neither_validates_nor_builds_a_table(self, monkeypatch):
         p = validate_params(163, -2, 1, 19, 170)
 

@@ -35,7 +35,7 @@ from aag.core import validate_params
 from aag.errors import InternalDispatchGap
 from aag.euclid import build_table
 from aag.staircase import frobenius
-from aag.verify import closed_form_violations
+from aag.verify import closed_form_violations, verify_tuple
 
 SCHEMA = json.loads(
     files("aag").joinpath("schemas/scan_record.schema.json").read_text()
@@ -43,6 +43,8 @@ SCHEMA = json.loads(
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 EX1 = ("--a", "155", "--d", "1", "--h", "4", "--k", "20", "--c", "177")
+# Rewritten by validation to (125, 2, 1, 19, 170).
+EX2 = ("--a", "163", "--d=-2", "--h", "1", "--k", "19", "--c", "170")
 
 # Small grid that contains a mix of valid, invalid and hypothesis-failing
 # tuples; used for scan/verify round trips.
@@ -156,6 +158,18 @@ class TestExitCodes:
         assert doc["error"] == "GcdViolation"
         assert "gcd(a,d)" in doc["reason"] and "2" in doc["reason"]
 
+    @pytest.mark.parametrize("command", ["scan", "verify"])
+    @pytest.mark.parametrize("value", ["banana", "0"])
+    def test_invalid_max_a_exits_2_once(self, capsys, monkeypatch, command, value):
+        # Read once before the run, not once per cell as a skip reason.
+        monkeypatch.setenv("AAG_MAX_A", value)
+        code, out, err = run_cli(capsys, command, *SMALL_GRID)
+        assert code == EXIT_VALIDATION
+        (line,) = out.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "NonsenseInput" and "AAG_MAX_A" in doc["reason"]
+        assert err == ""
+
     def test_bad_oracle_gens_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--gens", "10,x")
         assert code == EXIT_VALIDATION
@@ -229,9 +243,14 @@ class TestAnalyze:
         assert json.loads(out)["pf"] == [1, 2]
         assert len(built) == calls
 
-    @pytest.mark.parametrize("flags", [(), ("--json",)])
-    def test_pf_tilde_runs_once(self, capsys, monkeypatch, flags):
-        # The dispatch trace comes with classify's answer, not from a second run.
+    @pytest.mark.parametrize(
+        "tup,flags",
+        [(tup, flags) for tup in (EX1, EX2) for flags in ((), ("--json",))],
+        ids=["flags0", "flags1", "rewritten-flags0", "rewritten-flags1"],
+    )
+    def test_pf_tilde_runs_once(self, capsys, monkeypatch, tup, flags):
+        # The dispatch trace comes with classify's answer, not from a second
+        # run, also on a rewritten d < 0, h = 1 tuple.
         calls = []
         pf_tilde = pseudofrob.pf_tilde
 
@@ -242,7 +261,7 @@ class TestAnalyze:
         for module in (pseudofrob, aag.classify, aag.cli, aag.verify):
             if hasattr(module, "pf_tilde"):
                 monkeypatch.setattr(module, "pf_tilde", counting_pf_tilde)
-        code, out, _ = run_cli(capsys, "analyze", *EX1, *flags)
+        code, out, _ = run_cli(capsys, "analyze", *tup, *flags)
         assert code == EXIT_OK
         assert "PF1: clause" in out
         assert len(calls) == 1
@@ -428,7 +447,7 @@ class TestScan:
             p
             for a in range(10, 26)
             for d in range(-2, 3)
-            for p, _ in iter_cells(grid, a, d, skips, normalize=False, reject=lambda p, t: None)
+            for p, _ in iter_cells(grid, a, d, skips, reject=lambda p, t: None)
         ]
         monkeypatch.undo()
         assert (len(kept), skips["NotMinimal"]) == (1428, 1068)
@@ -531,6 +550,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *SMALL_GRID)
         assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
         assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
+
+    def test_battery_walks_the_raw_presentation(self, capsys, monkeypatch):
+        # d < 0, h = 1 cells reach the battery as given, as in scan.
+        seen = []
+
+        def recording_verify_tuple(p, t):
+            seen.append(p)
+            return verify_tuple(p, t)
+
+        monkeypatch.setattr("aag.cli.verify_tuple", recording_verify_tuple)
+        code, out, _ = run_cli(capsys, "verify", *self.GRID)
+        assert code == EXIT_OK
+        assert json.loads(out)["mismatches"] == 0
+        assert sum(p.d < 0 and p.h == 1 for p in seen) > 50
+        assert not any(p.normalized for p in seen)
 
     def test_battery_flags_a_redundant_generator(self):
         # 61 = 30 + 31: what the battery reports if closed-form minimality
