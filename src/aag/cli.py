@@ -247,12 +247,32 @@ def _verify_reject(p: AagParams, t: EuclidTable):
 
 def _verify_chunk(task):
     """Worker: the battery on one (a, d) pair -> (first failures, skip
-    reasons plus ``"checked"`` and ``"mismatches"``)."""
+    reasons plus ``"checked"`` and ``"mismatches"``).
+
+    The oracle reports come from one ``oracle.oracle_reports`` walk over the
+    cells' generator lists in lexicographic order, which puts lists that
+    share leading generators next to each other.  Outcomes are read back in
+    cell order, so the tally, the failures and the first error raised are
+    those of a walk in cell order.
+    """
     grid, a, d = task
-    failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
     tally: Counter = Counter()
-    for p, t in iter_cells(grid, a, d, tally, reject=_verify_reject):
-        problems = verify_tuple(p, t)
+    cells = list(iter_cells(grid, a, d, tally, reject=_verify_reject))
+    params = [p for p, _ in cells]
+    order = sorted(range(len(params)), key=lambda i: params[i].generators)
+    reports = oracle.oracle_reports([params[i].generators for i in order], a)
+    outcomes: list = [None] * len(params)
+    for i, rep in zip(order, reports):
+        p, t = cells[i]
+        cells[i] = None  # the table and its rows are not needed again
+        try:
+            outcomes[i] = verify_tuple(p, t, rep)
+        except AagError as exc:
+            outcomes[i] = exc
+    failures: list[tuple[tuple[int, int, int, int, int], list[str]]] = []
+    for p, problems in zip(params, outcomes):
+        if isinstance(problems, AagError):
+            raise problems
         tally["checked"] += 1
         if problems:
             tally["mismatches"] += 1

@@ -16,13 +16,30 @@ The wrap-around adds one term: a walk from a later start i > j reaches j at
 b[i] + (length + j)*g, so min(b) + length*g covers all of them.  One such scan
 per generator is exact, because a sum of generators can always be reordered to
 group equal generators together, and more than one full lap of a cycle only
-adds (cycle length)*g > 0 to an equal-residue value.
+adds (cycle length)*g > 0 to an equal-residue value.  This is the round-robin
+method (Böcker and Lipták, *A fast and simple algorithm for the money changing
+problem*, Algorithmica 48, 2007).
+
+The order of the generators does not matter either: by induction, after the
+scans of g_1, ..., g_L the table holds, for each residue, the least sum of
+those L generators in its class (or the sentinel), since such a sum is a sum
+of g_1, ..., g_{L-1} plus some copies of g_L.  So the table after L scans
+depends only on the first L generators, and ``oracle_reports`` walks a batch
+of generator lists over one modulus sharing them: consecutive lists with the
+same first L generators share those L scans (one scan per node of the trie of
+the lists, when lists that share prefixes are adjacent).  The table of a
+level is kept, as a copy, only while a later list resumes from it, so a single
+list holds one table and a walk at most one per level plus the working one:
+(longest list + 1) tables.  The scans run in the caller's generator order,
+without duplicates and multiples of m; sorting them would move a trailing
+generator (the ``c`` of a tuple) among the leading ones and break the shared
+prefixes.
 
 All intermediate values stay below 2**60 on the numpy path (a minimal class
 representative uses at most m-1 generator copies, hence is < m*max(gen)); if
-m*max(gen) approaches that bound the module falls back to a pure-Python
-Dijkstra with arbitrary-precision integers.  numpy is imported by the
-functions that build tables, so importing the package does not load it.
+m*max(gen) approaches that bound the module falls back, list by list, to a
+pure-Python Dijkstra with arbitrary-precision integers.  numpy is imported by
+the functions that build tables, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -31,7 +48,8 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NonPositiveGenerator, NonsenseInput, NotCoprime
 
@@ -127,48 +145,123 @@ def apery_oracle(generators: Sequence[int], modulus: int | None = None) -> list[
     _check_modulus(m)
     if m == 1:
         return [0]
-    # Drop duplicates and generators that are multiples of m: a minimal class
-    # representative never uses a summand congruent to 0 (dropping it would
-    # shrink the value within the same class).
-    steps = sorted({g for g in gens if g % m != 0})
-    if not steps:
+    table = next(_tables([_steps(gens, m)], m))
+    return table if isinstance(table, list) else table.tolist()
+
+
+def _steps(gens: Sequence[int], m: int) -> list[int]:
+    """The generators that the table is built from: the caller's order,
+    without duplicates and multiples of m.  A minimal class representative
+    never uses a summand congruent to 0 (dropping it would shrink the value
+    within the same class)."""
+    steps = list(dict.fromkeys(g for g in gens if g % m))
+    if not steps and m > 1:
         raise NotCoprime(f"all generators are multiples of the modulus {m}")
-    if m * max(steps) < _NUMPY_SAFE_PRODUCT:
-        table = _apery_numpy(steps, m)
-    else:
-        table = _apery_dijkstra(steps, m)
-    return table
+    return steps
 
 
-def _apery_numpy(gens: list[int], m: int) -> list[int]:
+def _tables(step_lists: list[list[int]], m: int) -> Iterator:
+    """The Apery table over m of each step list, in order.
+
+    Lists with m*max(steps) below the int64 guard get numpy arrays from one
+    shared walk (``_walk_numpy``); the others get Python lists from
+    ``_apery_dijkstra``, one search each.
+    """
+    on_numpy = [m * max(steps, default=0) < _NUMPY_SAFE_PRODUCT for steps in step_lists]
+    walk = _walk_numpy([steps for steps, fast in zip(step_lists, on_numpy) if fast], m)
+    for steps, fast in zip(step_lists, on_numpy):
+        yield next(walk) if fast else _apery_dijkstra(steps, m)
+
+
+def _walk_numpy(step_lists: list[list[int]], m: int) -> Iterator:
+    """Yield the Apery table (an int64 array) of each step list in turn.
+
+    Level L of a list is its table after the scans of its first L steps.
+    List j resumes at level ``shared[j - 1]``, the prefix it shares with list
+    j - 1, from the table kept there (level 0 is a fresh table).  ``kept``
+    holds (level, table) pairs at increasing levels, each one a level that a
+    later list resumes from, so the walk holds at most (longest list + 1)
+    tables.  A yielded table is valid until the next one is drawn.
+    """
     import numpy as np
 
-    dist = np.full(m, 1 << 60, dtype=np.int64)  # sentinel, see _NUMPY_SAFE_PRODUCT
-    dist[0] = 0
-    for g in gens:
-        step = g % m
-        delta = math.gcd(step, m)
-        length = m // delta
-        # Residues split into `delta` cycles of length `length` under +step;
-        # row i of `idx` walks cycle i in visiting order from residue i.
-        idx = (
-            np.arange(delta, dtype=np.int64)[:, None]
-            + np.arange(length, dtype=np.int64)[None, :] * step
-        ) % m
-        vals = dist[idx]
-        # Cyclic closure for one g, see the module docstring.
-        slope = np.arange(length, dtype=np.int64) * g
-        vals -= slope
-        np.minimum.accumulate(vals, axis=1, out=vals)
-        np.minimum(vals, vals[:, -1:] + length * g, out=vals)
-        vals += slope
-        dist[idx] = vals
-    top = int(dist.max())
-    # gcd(gens) = 1 guarantees every residue class is hit, with a true value
-    # below m*max(gens); anything at sentinel scale would be a bug.
-    if top >= _NUMPY_SAFE_PRODUCT:
-        raise AssertionError("unreachable residue despite coprime generators")
-    return dist.tolist()
+    shared = [_common_prefix(x, y) for x, y in zip(step_lists, step_lists[1:])] + [0]
+    kept: list[tuple[int, np.ndarray]] = []
+    resume = 0
+    for j, steps in enumerate(step_lists):
+        needed = _resume_levels(shared, j, resume)
+        if resume == 0:
+            table = np.full(m, 1 << 60, dtype=np.int64)  # sentinel, see _NUMPY_SAFE_PRODUCT
+            table[0] = 0
+        elif resume in needed:
+            table = kept[-1][1].copy()
+        else:
+            table = kept.pop()[1]
+        for level in range(resume, len(steps)):
+            if level > resume and level in needed:
+                kept.append((level, table.copy()))
+            _close(table, steps[level], m)
+        if len(steps) > resume and len(steps) in needed:
+            kept.append((len(steps), table))
+        # gcd(gens) = 1 guarantees every residue class is hit, with a true
+        # value below m*max(gens); anything at sentinel scale would be a bug.
+        if int(table.max()) >= _NUMPY_SAFE_PRODUCT:
+            raise AssertionError("unreachable residue despite coprime generators")
+        yield table
+        resume = shared[j]
+
+
+def _common_prefix(x: list[int], y: list[int]) -> int:
+    n = 0
+    for u, v in zip(x, y):
+        if u != v:
+            break
+        n += 1
+    return n
+
+
+def _resume_levels(shared: list[int], j: int, floor: int) -> set[int]:
+    """The levels >= ``floor`` of list j that later lists resume from.
+
+    List j' > j resumes at ``shared[j' - 1]``, on list j's path exactly when
+    no list in between branched off lower: the running minima of
+    ``shared[j:]``, read until they fall to ``floor`` (lower levels belong
+    to earlier lists).
+    """
+    levels: set[int] = set()
+    low = math.inf
+    for level in islice(shared, j, None):
+        if level < low:
+            low = level
+            if low < floor:
+                break
+            levels.add(low)
+            if low == floor:
+                break
+    return levels
+
+
+def _close(dist, g: int, m: int) -> None:
+    """Relax ``dist`` in place along every cycle of +g mod m: the cyclic
+    closure for one generator (see the module docstring)."""
+    import numpy as np
+
+    step = g % m
+    delta = math.gcd(step, m)
+    length = m // delta
+    # Residues split into `delta` cycles of length `length` under +step;
+    # row i of `idx` walks cycle i in visiting order from residue i.
+    idx = (
+        np.arange(delta, dtype=np.int64)[:, None]
+        + np.arange(length, dtype=np.int64)[None, :] * step
+    ) % m
+    vals = dist[idx]
+    slope = np.arange(length, dtype=np.int64) * g
+    vals -= slope
+    np.minimum.accumulate(vals, axis=1, out=vals)
+    np.minimum(vals, vals[:, -1:] + length * g, out=vals)
+    vals += slope
+    dist[idx] = vals
 
 
 def _apery_dijkstra(gens: list[int], m: int) -> list[int]:
@@ -230,42 +323,86 @@ def oracle_report(generators: Sequence[int], modulus: int | None = None) -> Orac
     The genus counts (w[r] - r)/m gaps per residue class r (Selmer).
     All of this needs m in S, that is, m equal to the least ``table[-g mod m]
     + g`` over the generators g (the least positive element of S divisible
-    by m); any other modulus raises ``NonsenseInput``.
+    by m); any other modulus raises ``NonsenseInput``.  This is the one-list
+    case of ``oracle_reports``.
     """
     gens = _clean_generators(generators)
     _require_coprime(gens)
     m = min(gens) if modulus is None else modulus
-    table = apery_oracle(gens, m)
-    if min(table[-g % m] + g for g in gens) != m:
+    return next(oracle_reports([gens], m))
+
+
+def oracle_reports(
+    generator_lists: Iterable[Sequence[int]], modulus: int
+) -> Iterator[OracleReport]:
+    """``oracle_report(gens, modulus)`` for each list, in order, from one walk.
+
+    Consecutive lists that start with the same generators share the scans
+    of those generators (see the module docstring), so a caller puts such
+    lists next to each other.  Every list is checked before the first
+    report is built.
+    """
+    lists = []
+    for generators in generator_lists:
+        gens = _clean_generators(generators)
+        _require_coprime(gens)
+        lists.append(gens)
+    if not lists:
+        return
+    _check_modulus(modulus)
+    step_lists = [_steps(gens, modulus) for gens in lists]
+    for gens, steps, table in zip(lists, step_lists, _tables(step_lists, modulus)):
+        yield _report(gens, steps, modulus, table)
+
+
+def _report(gens: list[int], steps: list[int], m: int, table) -> OracleReport:
+    """The report of ``gens`` from its Apery table over m, a numpy array or
+    (past the int64 guard) a list; see ``oracle_report``.  Generators that
+    are multiples of m never make w + g an Apery element, so the maximality
+    test reads only ``steps``."""
+    values = table if isinstance(table, list) else table.tolist()
+    if min(values[-g % m] + g for g in gens) != m:
         raise NonsenseInput(f"modulus {m} is not in the semigroup generated by {gens}")
     if m == 1:
         pf = [-1]
-    elif m * max(gens) < _NUMPY_SAFE_PRODUCT:
-        import numpy as np
-
-        w = np.asarray(table, dtype=np.int64)
-        dominated = np.zeros(m, dtype=bool)
-        for g in sorted(set(gens)):
-            shifted = w + g
-            dominated |= w[shifted % m] == shifted
-        pf = sorted((w[~dominated] - m).tolist())
-    else:
+    elif isinstance(table, list):
         pf = sorted(
             value - m
-            for value in table
-            if all(table[(value + g) % m] != value + g for g in gens)
+            for value in values
+            if all(values[(value + g) % m] != value + g for g in steps)
         )
+    else:
+        pf = _pf_numpy(table, steps, m)
     t = len(pf)
     frob = pf[-1]
     nari = all(pf[i] + pf[t - 2 - i] == frob for i in range(t - 1))
+    apery = tuple(values)
     return OracleReport(
         generators=tuple(gens),
         modulus=m,
-        apery=tuple(table),
-        frobenius=max(table) - m,
+        apery=apery,
+        frobenius=max(apery) - m,
         pf=tuple(pf),
         type=t,
-        genus=(sum(table) - (m - 1) * m // 2) // m,
+        genus=(sum(apery) - (m - 1) * m // 2) // m,
         symmetric=(t == 1),
         almost_symmetric=nari,
     )
+
+
+#: Most residue-generator pairs that one maximality pass of ``_pf_numpy``
+#: compares at once; a modulus above it takes one generator per pass.
+_PF_BLOCK = 1 << 16
+
+
+def _pf_numpy(w, steps: list[int], m: int) -> list[int]:
+    """Sorted pseudo-Frobenius numbers: the Apery elements w with w + g
+    outside the Apery set for every step g, minus m."""
+    import numpy as np
+
+    dominated = np.zeros(m, dtype=bool)
+    block = max(1, _PF_BLOCK // m)
+    for i in range(0, len(steps), block):
+        shifted = w + np.array(steps[i : i + block], dtype=np.int64)[:, None]
+        dominated |= (w[shifted % m] == shifted).any(axis=0)
+    return sorted((w[~dominated] - m).tolist())

@@ -7,7 +7,9 @@ messages (empty means the tuple passed):
   Frobenius number from the closed forms, and the closed-form minimality
   check that admitted the tuple, against the brute-force oracle.
 * ``euclid_violations``      -- structural invariants of the Euclidean
-  table: the row equation, the canonical decomposition of s and r', the
+  table: each row's index against its position, the row equation, the
+  canonical decomposition of s and r', the quotient recurrence
+  s_{i-1} = q_{i+1} s_i - s_{i+1} (q >= 2, none on rows 0 and 1), the
   three determinant identities, s/p/r' monotonicity (and r when d > 0),
   pivot bracketing, the stored pivot rows against the rows μ and μ + 1,
   and the consecutive-pair tilde relation with its case split at the
@@ -26,6 +28,15 @@ rest).  It checks each fact once: φ(M(s, 0)) = ha⌈s/k⌉ + sd and
 (σ, ρ, l) = decompose(s, k) put every row binomial of
 ``grobner.row_binomials`` in the kernel, and the row equations of two
 rows put their ``grobner.tilde_binomials`` pair binomial there too.
+
+The oracle report is the one costly input, so ``closed_form_violations``
+and ``verify_tuple`` take it as an optional argument and build it only when
+it is not given.  ``aag verify`` passes the reports of one
+``oracle.oracle_reports`` walk per (a, d) chunk: its cells share the
+modulus a and the leading generators ha + d, ..., ha + kd, and in
+lexicographic order of the generator lists (by h, then by k and c) the
+closures of a shared prefix run once, with at most k + 2 tables held for
+the largest k of the grid.
 """
 
 from __future__ import annotations
@@ -40,15 +51,20 @@ from .pseudofrob import pf_tilde
 from .staircase import apery_values, frobenius
 
 
-def closed_form_violations(p: AagParams, t: EuclidTable) -> list[str]:
+def closed_form_violations(
+    p: AagParams, t: EuclidTable, rep: oracle.OracleReport | None = None
+) -> list[str]:
     """Apery / PF / Frobenius closed forms and minimality against the oracle.
 
-    Every tuple that reaches the battery passed ``core.is_minimal``; the
-    oracle's Apery table (one table serves every check here) confirms that
-    no positive difference of two generators lies in S.
+    ``rep`` is the oracle's report of ``p.generators`` over ``p.a``, built
+    here when not given.  Every tuple that reaches the battery passed
+    ``core.is_minimal``; the oracle's Apery table (one table serves every
+    check here) confirms that no positive difference of two generators lies
+    in S.
     """
     out = []
-    rep = oracle.oracle_report(list(p.generators), p.a)
+    if rep is None:
+        rep = oracle.oracle_report(list(p.generators), p.a)
     closed_apery = sorted(apery_values(p, t))
     oracle_apery = sorted(rep.apery)
     if closed_apery != oracle_apery:
@@ -73,7 +89,9 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
     out = []
     a, d, c, h, k = p.a, p.d, p.c, p.h, p.k
     rows = t.rows
-    for row in rows:
+    for i, row in enumerate(rows):
+        if row.index != i:
+            out.append(f"row {i}: index {row.index} != position {i}")
         if row.s * d - row.p * c != row.r * a:
             out.append(f"row {row.index}: s*d - p*c != r*a")
         if (row.sigma, row.rho, row.ell) != decompose(row.s, k):
@@ -91,6 +109,11 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
             out.append(f"row {hi.index}: quotient {hi.q} < 2")
         if tilde_for_pair(lo, hi, k, h)[3] < 2:
             out.append(f"rows {lo.index},{hi.index}: r~ < 2")
+    if rows[0].q is not None or rows[1].q is not None:
+        out.append("rows 0,1 carry a quotient")
+    for lo, mid, hi in zip(rows, rows[1:], rows[2:]):
+        if hi.q is None or lo.s != hi.q * mid.s - hi.s:
+            out.append(f"row {hi.index}: s_(i-1) != q_(i+1) s_i - s_(i+1)")
     s_seq = [row.s for row in rows]
     p_seq = [row.p for row in rows]
     rp_seq = [row.r_prime for row in rows]
@@ -158,9 +181,12 @@ def agreement_violations(p: AagParams, full: Classification) -> list[str]:
     return out
 
 
-def verify_tuple(p: AagParams, t: EuclidTable) -> list[str]:
-    """All four check groups on one hypothesis-satisfying tuple."""
-    out = closed_form_violations(p, t)
+def verify_tuple(
+    p: AagParams, t: EuclidTable, rep: oracle.OracleReport | None = None
+) -> list[str]:
+    """All four check groups on one hypothesis-satisfying tuple; ``rep`` as
+    in ``closed_form_violations``."""
+    out = closed_form_violations(p, t, rep)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
     out += agreement_violations(p, classify(p, t))

@@ -28,9 +28,11 @@ from aag.cli import (
     _enc,
     _scan_chunk,
     _verify_chunk,
+    _verify_reject,
     iter_cells,
     main,
 )
+from aag.classify import classify
 from aag.core import validate_params
 from aag.errors import InternalDispatchGap
 from aag.euclid import build_table
@@ -551,13 +553,50 @@ class TestVerify:
         assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
         assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_failing_tuple_is_pinned(self, capsys, monkeypatch, workers):
+        # The oracle walks each chunk in generator order; the report still
+        # names the first failing cell in grid order, as before the walk.
+        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        code, out, err = run_cli(capsys, "verify", *SMALL_GRID, "--workers", workers)
+        assert code == EXIT_MISMATCH
+        assert out == '{"checked": 1307, "skipped": 2853, "mismatches": 1307}\n'
+        assert err == (
+            "grid: 4160 tuples\n"
+            "first failing tuple: a=10 d=-1 c=6 k=3 h=1\n"
+            "  frobenius mismatch: closed 12 vs oracle 11\n"
+        )
+
+    def test_chunk_outcomes_follow_cell_order(self, monkeypatch):
+        grid = Grid(range(20, 21), range(1, 2), range(5, 31), range(3, 5), range(1, 3))
+        cells = [p for p, _ in iter_cells(grid, 20, 1, Counter(), reject=_verify_reject)]
+        walk = sorted(cells, key=lambda p: p.generators)
+        assert walk != cells
+        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        failures, tally = _verify_chunk((grid, 20, 1))
+        assert [(c, k, h) for (_, _, c, k, h), _ in failures] == [(p.c, p.k, p.h) for p in cells[:5]]
+        assert tally["checked"] == tally["mismatches"] == len(cells)
+
+        # h = 1 cells with c >= 20 and h = 2 cells with c < 20 raise: the walk
+        # meets an h = 1 one first, the grid order an h = 2 one.
+        def gap(p, t):
+            if (p.h == 1) == (p.c >= 20):
+                raise InternalDispatchGap(f"no clause at c={p.c} h={p.h}")
+            return classify(p, t)
+
+        monkeypatch.setattr(aag.verify, "classify", gap)
+        first = next(p for p in cells if (p.h == 1) == (p.c >= 20))
+        assert next(p for p in walk if (p.h == 1) == (p.c >= 20)) != first
+        with pytest.raises(InternalDispatchGap, match=f"no clause at c={first.c} h={first.h}$"):
+            _verify_chunk((grid, 20, 1))
+
     def test_battery_walks_the_raw_presentation(self, capsys, monkeypatch):
         # d < 0, h = 1 cells reach the battery as given, as in scan.
         seen = []
 
-        def recording_verify_tuple(p, t):
+        def recording_verify_tuple(p, t, rep):
             seen.append(p)
-            return verify_tuple(p, t)
+            return verify_tuple(p, t, rep)
 
         monkeypatch.setattr("aag.cli.verify_tuple", recording_verify_tuple)
         code, out, _ = run_cli(capsys, "verify", *self.GRID)

@@ -8,18 +8,24 @@ structural machinery this oracle is meant to audit.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aag.oracle
+from aag.cli import Grid, _verify_reject, iter_cells
 from aag.errors import NonPositiveGenerator, NonsenseInput, NotCoprime
 from aag.oracle import (
     _apery_dijkstra,
-    _apery_numpy,
+    _steps,
+    _walk_numpy,
     apery_oracle,
     is_minimal_generating,
     oracle_report,
+    oracle_reports,
 )
 
 
@@ -161,7 +167,7 @@ class TestBackendAgreement:
         if not steps or math.gcd(math.gcd(*steps), m) != 1:
             # Residues unreachable; both backends would assert.  Out of scope.
             return
-        assert _apery_numpy(steps, m) == _apery_dijkstra(steps, m)
+        assert next(_walk_numpy([steps], m)).tolist() == _apery_dijkstra(steps, m)
 
     def test_huge_generators_use_exact_path(self):
         # Large enough that m*max(gen) trips the int64 guard.
@@ -187,3 +193,142 @@ class TestAperyDefinition:
             min(x for x in range(r, bound, m) if reachable[x]) for r in range(m)
         ]
         assert apery_oracle(gens) == expected
+
+
+#: The tiny strided verify grid: a <= 80, c <= 300, strides 37 and 53.
+TINY_VERIFY = Grid(range(2, 81, 37), range(-9, 10), range(2, 301, 53), range(3, 7), range(1, 4))
+
+
+def _chunk_lists(grid: Grid, a: int, d: int) -> list[list[int]]:
+    """The generator lists of one verify chunk, in the order ``aag verify`` walks them."""
+    cells = iter_cells(grid, a, d, Counter(), reject=_verify_reject)
+    return sorted(list(p.generators) for p, _ in cells)
+
+
+def _trie_nodes(lists, m: int) -> int:
+    """Distinct nonempty step prefixes: one cyclic closure each."""
+    return len({tuple(s[:i]) for s in (_steps(g, m) for g in lists) for i in range(1, len(s) + 1)})
+
+
+def _walk_equals_per_list(lists, m: int) -> None:
+    assert list(oracle_reports(lists, m)) == [oracle_report(gens, m) for gens in lists]
+
+
+class TestWalk:
+    """``oracle_reports`` shares closures along common prefixes; every report
+    must equal the one-list ``oracle_report`` field for field."""
+
+    def test_tiny_verify_grid_chunks(self):
+        checked = 0
+        for a in TINY_VERIFY.a:
+            for d in TINY_VERIFY.d:
+                lists = _chunk_lists(TINY_VERIFY, a, d)
+                reports = list(oracle_reports(lists, a))
+                assert reports == [oracle_report(gens, a) for gens in lists]
+                for gens, rep in zip(lists, reports):
+                    assert rep.apery == tuple(_apery_dijkstra(_steps(gens, a), a))
+                checked += len(lists)
+        assert checked == 909
+
+    def test_duplicates_and_multiples_of_the_modulus(self):
+        _walk_equals_per_list([[7, 7, 9, 9, 11], [7, 14, 9, 11], [7, 9, 21, 11, 9], [7, 9, 11]], 7)
+        rep = next(oracle_reports([[3, 6, 5, 5, 3]], 3))
+        assert rep.generators == (3, 6, 5, 5, 3) and rep.pf == (7,)
+
+    def test_prefix_lists_and_a_single_list(self):
+        _walk_equals_per_list([[11, 13], [11, 13, 17], [11, 13, 17, 19], [11, 13, 17], [11, 13]], 11)
+        _walk_equals_per_list([[11, 13, 17, 19], [11, 13]], 11)
+        _walk_equals_per_list([[5, 6, 7, 8, 9]], 5)
+        assert list(oracle_reports([], 5)) == []
+
+    def test_dijkstra_list_inside_a_walk(self):
+        big = (1 << 60) + 1
+        lists = [[3, 7, 8], [3, 7, big], [3, 7, 11], [3, big]]
+        reports = list(oracle_reports(lists, 3))
+        assert reports == [oracle_report(gens, 3) for gens in lists]
+        assert reports[1].apery == (0, 7, 14) and reports[3].apery == (0, 2 * big, big)
+
+    def test_errors_match_the_one_list_report(self):
+        with pytest.raises(NotCoprime):
+            list(oracle_reports([[3, 5], [6, 9]], 3))
+        with pytest.raises(NonsenseInput, match="not in the semigroup"):
+            list(oracle_reports([[3, 5]], 4))
+
+    @given(
+        st.integers(2, 60),
+        st.lists(st.integers(1, 150), min_size=1, max_size=5),
+        st.lists(
+            st.tuples(st.integers(0, 5), st.lists(st.integers(1, 150), max_size=3)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_drawn_families_sharing_prefixes(self, m, prefix, branches):
+        lists = [[m] + prefix[:cut] + tail for cut, tail in branches]
+        lists = [gens for gens in lists if math.gcd(*gens) == 1]
+        _walk_equals_per_list(lists, m)  # drawn order
+        _walk_equals_per_list(sorted(lists), m)  # prefix-adjacent order
+
+    def test_one_closure_per_trie_node(self, monkeypatch):
+        calls = []
+        close = aag.oracle._close
+
+        def counting_close(dist, g, m):
+            calls.append(g)
+            close(dist, g, m)
+
+        monkeypatch.setattr(aag.oracle, "_close", counting_close)
+        lists = _chunk_lists(TINY_VERIFY, 76, 3)
+        list(oracle_reports(lists, 76))
+        nodes = _trie_nodes(lists, 76)
+        assert len(calls) == nodes
+        assert sum(len(_steps(gens, 76)) for gens in lists) > 3 * nodes  # the sharing pays
+
+
+def _live_bytes_at_each_table(lists, m: int) -> list[int]:
+    """Traced bytes held while each table of the walk is drawn, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return [tracemalloc.get_traced_memory()[0] - base for _ in _walk_numpy(lists, m)]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWalkMemory:
+    """Bounded by tracemalloc, not by wall time."""
+
+    M = 50_021
+    SLACK = 1 << 16
+
+    def test_single_list_keeps_one_table(self):
+        live = _live_bytes_at_each_table([[self.M + i for i in range(1, 8)]], self.M)
+        assert live[0] <= 8 * self.M + self.SLACK
+
+    def test_walk_keeps_at_most_longest_plus_one_tables(self):
+        # Each list branches off lower than the one before, so the first
+        # list's walk must keep every level for a later list.
+        head = [self.M + i for i in range(1, 7)]
+        lists = [head[:cut] + [self.M + 100 + cut] for cut in range(6, 0, -1)]
+        longest = max(map(len, lists))
+        live = _live_bytes_at_each_table(lists, self.M)
+        assert max(live) <= (longest + 1) * 8 * self.M + self.SLACK
+        assert max(live) >= 6 * 8 * self.M  # the levels really are kept
+
+    def test_criterion7_shape_allocates_no_more_than_before(self):
+        # 22 generators as in acceptance criterion 7, at a tenth of its
+        # modulus.  Before the walk the peak was 72 bytes per residue: the
+        # table, its list of Python ints, and one closure's index, values
+        # and slope arrays still bound while the next closure allocated.
+        a = 99_991
+        gens = [a] + [4 * a + i for i in range(1, 21)] + [4 * a + 61]
+        apery_oracle([3, 5])  # numpy imported outside the trace
+        tracemalloc.start()
+        try:
+            table = apery_oracle(gens, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == a
+        assert peak <= 72 * a

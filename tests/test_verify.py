@@ -5,13 +5,15 @@
 because ``verify.euclid_violations`` implies it.  These tests corrupt the
 rows of seeded tables, in the raw and in the rewritten d < 0, h = 1
 presentation, and check that every corruption the kernel checks would flag
-is flagged by ``euclid_violations``.
+is flagged by ``euclid_violations``, and that every moved quotient or
+index is flagged even where the kernel checks see nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -124,3 +126,14 @@ def test_non_canonical_decomposition_is_caught():
                 assert _kernel_catches(p, corrupted)
                 seen += 1
     assert seen > 100
+
+
+def test_every_quotient_and_index_corruption_is_caught():
+    # q through s_{i-1} = q_{i+1} s_i - s_{i+1}, index against the position.
+    seen = Counter()
+    for p, label, _, corrupted in _corruptions(TABLES):
+        field = label.split()[2].rstrip("+-1")
+        if field in ("q", "index"):
+            assert _euclid_catches(p, corrupted), ((p.a, p.d, p.h, p.k, p.c), label)
+            seen[field] += 1
+    assert seen["q"] > 1000 and seen["index"] > 2000
