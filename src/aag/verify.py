@@ -29,14 +29,13 @@ rest).  It checks each fact once: φ(M(s, 0)) = ha⌈s/k⌉ + sd and
 ``grobner.row_binomials`` in the kernel, and the row equations of two
 rows put their ``grobner.tilde_binomials`` pair binomial there too.
 
-The oracle report is the one costly input, so ``closed_form_violations``
-and ``verify_tuple`` take it as an optional argument and build it only when
-it is not given.  ``aag verify`` passes the reports of one
-``oracle.oracle_reports`` walk per (a, d) chunk: its cells share the
-modulus a and the leading generators ha + d, ..., ha + kd, and in
-lexicographic order of the generator lists (by h, then by k and c) the
-closures of a shared prefix run once, with at most k + 2 tables held for
-the largest k of the grid.
+The oracle report is the one costly input, so ``verify_tuple`` takes it as
+an argument (``closed_form_violations`` builds it when not given).  ``aag
+verify`` passes the reports of one ``oracle.oracle_reports`` walk per
+(a, d) chunk: its cells share the modulus a and the leading generators
+ha + d, ..., ha + kd, and in lexicographic order of the generator lists
+(by h, then by k and c) the closures of a shared prefix run once, with at
+most k + 2 tables held for the largest k of the grid.
 """
 
 from __future__ import annotations
@@ -181,11 +180,9 @@ def agreement_violations(p: AagParams, full: Classification) -> list[str]:
     return out
 
 
-def verify_tuple(
-    p: AagParams, t: EuclidTable, rep: oracle.OracleReport | None = None
-) -> list[str]:
-    """All four check groups on one hypothesis-satisfying tuple; ``rep`` as
-    in ``closed_form_violations``."""
+def verify_tuple(p: AagParams, t: EuclidTable, rep: oracle.OracleReport) -> list[str]:
+    """All four check groups on one hypothesis-satisfying tuple, with ``rep``
+    the oracle's report of ``p.generators`` over ``p.a``."""
     out = closed_form_violations(p, t, rep)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
