@@ -48,7 +48,6 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonPositiveGenerator, NonsenseInput, NotCoprime
@@ -177,38 +176,36 @@ def _walk_numpy(step_lists: list[list[int]], m: int) -> Iterator:
     """Yield the Apery table (an int64 array) of each step list in turn.
 
     Level L of a list is its table after the scans of its first L steps.
-    List j resumes at level ``shared[j - 1]``, the prefix it shares with list
-    j - 1, from the table kept there (level 0 is a fresh table).  ``kept``
-    holds (level, table) pairs at increasing levels, each one a level that a
-    later list resumes from, so the walk holds at most (longest list + 1)
-    tables.  A yielded table is valid until the next one is drawn.
+    ``shared[j]`` is the prefix length that list j shares with list j + 1,
+    which resumes from there.  ``kept[L - 1]`` is the table of level L, kept
+    for the levels that the next list shares, so the walk holds at most
+    (longest list + 1) tables.  A yielded table is valid until the next one
+    is drawn.
     """
     import numpy as np
 
     shared = [_common_prefix(x, y) for x, y in zip(step_lists, step_lists[1:])] + [0]
-    kept: list[tuple[int, np.ndarray]] = []
+    kept: list[np.ndarray] = []
     resume = 0
-    for j, steps in enumerate(step_lists):
-        needed = _resume_levels(shared, j, resume)
+    for steps, keep in zip(step_lists, shared):
         if resume == 0:
             table = np.full(m, 1 << 60, dtype=np.int64)  # sentinel, see _NUMPY_SAFE_PRODUCT
             table[0] = 0
-        elif resume in needed:
-            table = kept[-1][1].copy()
+        elif keep >= resume:
+            table = kept[resume - 1].copy()
         else:
-            table = kept.pop()[1]
+            table = kept.pop()
+        del kept[keep:]
         for level in range(resume, len(steps)):
-            if level > resume and level in needed:
-                kept.append((level, table.copy()))
             _close(table, steps[level], m)
-        if len(steps) > resume and len(steps) in needed:
-            kept.append((len(steps), table))
+            if level < keep:
+                kept.append(table if level + 1 == len(steps) else table.copy())
         # gcd(gens) = 1 guarantees every residue class is hit, with a true
         # value below m*max(gens); anything at sentinel scale would be a bug.
         if int(table.max()) >= _NUMPY_SAFE_PRODUCT:
             raise AssertionError("unreachable residue despite coprime generators")
         yield table
-        resume = shared[j]
+        resume = keep
 
 
 def _common_prefix(x: list[int], y: list[int]) -> int:
@@ -218,27 +215,6 @@ def _common_prefix(x: list[int], y: list[int]) -> int:
             break
         n += 1
     return n
-
-
-def _resume_levels(shared: list[int], j: int, floor: int) -> set[int]:
-    """The levels >= ``floor`` of list j that later lists resume from.
-
-    List j' > j resumes at ``shared[j' - 1]``, on list j's path exactly when
-    no list in between branched off lower: the running minima of
-    ``shared[j:]``, read until they fall to ``floor`` (lower levels belong
-    to earlier lists).
-    """
-    levels: set[int] = set()
-    low = math.inf
-    for level in islice(shared, j, None):
-        if level < low:
-            low = level
-            if low < floor:
-                break
-            levels.add(low)
-            if low == floor:
-                break
-    return levels
 
 
 def _close(dist, g: int, m: int) -> None:
