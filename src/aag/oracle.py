@@ -28,8 +28,8 @@ depends only on the first L generators, and ``oracle_reports`` walks a batch
 of generator lists over one modulus sharing them: consecutive lists with the
 same first L generators share those L scans (one scan per node of the trie of
 the lists, when lists that share prefixes are adjacent).  A level's table is
-kept only while a later list resumes from it (as a copy when the walk goes on
-past that level), so a single list holds one table and a walk at most one per
+kept only while the next list shares that level (as a copy when the walk goes
+on past it), so a single list holds one table and a walk at most one per
 level plus the working one: (longest list + 1) tables.  The scans run in the caller's generator order,
 without duplicates and multiples of m; sorting them would move a trailing
 generator (the ``c`` of a tuple) among the leading ones and break the shared
