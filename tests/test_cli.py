@@ -555,8 +555,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_first_failing_tuple_is_pinned(self, capsys, monkeypatch, workers):
-        # The oracle walks each chunk in generator order; the report still
-        # names the first failing cell in grid order, as before the walk.
+        # The oracle walks each chunk in generator order; the report names
+        # the first failing cell in grid order.
         monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
         code, out, err = run_cli(capsys, "verify", *SMALL_GRID, "--workers", workers)
         assert code == EXIT_MISMATCH
