@@ -5,7 +5,7 @@ bases, pseudo-Frobenius sets, symmetry classification) live in the
 submodules; ``oracle`` is an independent brute-force cross-check.
 """
 
-from .core import AagParams, Monomial, monomial, phi, validate_params
+from .core import AagParams, Monomial, phi, validate_params
 from .errors import (
     AagError,
     AmbiguousFastPath,
@@ -25,7 +25,6 @@ from .errors import (
 __all__ = [
     "AagParams",
     "Monomial",
-    "monomial",
     "phi",
     "validate_params",
     "AagError",

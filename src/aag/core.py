@@ -77,16 +77,6 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def monomial(nvars: int, **powers: int) -> Monomial:
-    """Convenience constructor: ``monomial(5, x0=2, x4=1)`` -> x0^2*x4."""
-    exps = [0] * nvars
-    for name, e in powers.items():
-        if not name.startswith("x"):
-            raise NonsenseInput(f"bad variable name {name!r}")
-        exps[int(name[1:])] = e
-    return Monomial(tuple(exps))
-
-
 def _require_positive_int(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise NonsenseInput(f"{name} must be an integer, got {value!r}")

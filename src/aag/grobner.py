@@ -1,4 +1,4 @@
-"""Binomial families of the defining ideal and a column-profile basis check.
+"""Binomial families of the defining ideal and a staircase-corner basis check.
 
 The semigroup ring's defining ideal I is prime and binomial: a binomial
 lies in I exactly when its two monomials have equal weighted degree φ.
@@ -31,23 +31,26 @@ monomials and a monomial algebra has exactly |Ap| = a standard residues.
 It requires every x_i x_j (1 <= i <= j <= k-1) to be a lead, so a
 monomial involving two of x_1..x_{k-1} (or one squared) is never
 standard, and the check stays inside the plane.  There, a plane lead at
-y0 = α0·k + i0 and height ζ divides M(y, z) exactly when y // k >= α0,
-i0 is 0 or y mod k, and z >= ζ, so the standard monomials of column y
-are the z below a height H(y), the least ζ over the leads covering y.  Divisibility propagates along M(y+k, z) = x_k M(y, z),
-so comparing H on the columns y < s_μ + k with the staircase heights
-followed by k zeros settles the whole quadrant.
+(y0, ζ) divides M(y, z) exactly when y >= y0, z >= ζ, and y ≡ y0 (mod k)
+or k | y0.  With E(y) the staircase height of column y (0 from s_μ on,
+never increasing), the standard plane monomials are the staircase exactly
+when no lead has ζ < E(y0) and a lead divides each outer corner: the
+first column of each residue on each piece [0, Δs), [Δs, s_μ), [s_μ, ∞),
+at that piece's height, since divisibility passes from M(y, z) to
+M(y + k, z) = x_k M(y, z).  At most 3k corners against O(k) plane leads:
+the certificate costs O(k³) whatever a is, the k(k−1)/2 A binomials of
+k + 2 exponents each dominating.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .core import AagParams, Monomial, phi
-from .errors import HypothesisViolated, NonsenseInput
+from .errors import NonsenseInput
 from .euclid import EuclidTable, tilde_for_pair
-from .staircase import StandardPoint, rectangles
+from .staircase import StandardPoint, rectangles, require_hypothesis
 
 
 def plane_monomial(y: int, z: int, k: int, x0: int = 0) -> Monomial:
@@ -114,10 +117,7 @@ def _family_A(k: int, h: int) -> tuple[Binomial, ...]:
 
 def families_BCD(params: AagParams, table: EuclidTable) -> list[Binomial]:
     """The table-derived families B, C, D as one tagged list."""
-    if not table.hypothesis_ok:
-        raise HypothesisViolated(
-            "families B/C/D are only constructed when r'_mu >= h or k | s_mu"
-        )
+    require_hypothesis(table)
     k, h = params.k, params.h
     piv, nxt = table.pivot, table.after_pivot
     out = [
@@ -184,23 +184,22 @@ def tilde_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
     ]
 
 
-def _column_heights(leads: list[StandardPoint], k: int, width: int) -> list[float]:
-    """H(y) for y < width: the least ζ over the leads covering column y.
-
-    A lead at y0 = α0·k + i0 covers y when y // k >= α0 and i0 is 0 or
-    y mod k; a column no lead covers has height infinity.
-    """
-    by_block: dict[int, list[StandardPoint]] = {}
-    for pt in leads:
-        by_block.setdefault(pt.y // k, []).append(pt)
-    cover = [math.inf] * k  # least ζ per i0 over the blocks seen so far
-    heights: list[float] = []
-    for alpha in range(-(-width // k)):
-        for pt in by_block.get(alpha, ()):
-            i0 = pt.y % k
-            cover[i0] = min(cover[i0], pt.z)
-        heights += [min(cover[0], zeta) for zeta in cover]
-    return heights[:width]
+def _standard_is_staircase(leads: list[StandardPoint], table: EuclidTable, k: int) -> bool:
+    """Are the plane points that no lead in ``leads`` divides the staircase?
+    No lead may lie inside it, and one must divide each outer corner."""
+    (_, split, tall), (_, end, low) = rectangles(table)
+    if any(z < (tall if y < split else low if y < end else 0) for y, z in leads):
+        return False
+    leads, never = sorted(leads), end + k  # ``never`` lies past every corner
+    for lo, top in ((0, tall), (split, low), (end, 0)):  # split = end: (end, 0) implies it
+        first = {}  # least column per residue of the leads at most top high
+        for y, z in leads:
+            if z <= top:
+                first.setdefault(y % k, y)
+        reach = first.get(0, never)  # a lead at a multiple of k covers every residue
+        if any(min(reach, first.get(i, never)) > lo + (i - lo) % k for i in range(k)):
+            return False
+    return True
 
 
 def certify_basis(
@@ -212,13 +211,12 @@ def certify_basis(
 
     Returns True iff every element kernel-checks with the constructed
     monomial as its true leading term, every x_i x_j (1 <= i <= j <= k-1)
-    is a lead, and the column heights H(y) of the standard plane monomials
-    are the staircase heights on y < s_μ followed by k zeros, summing to a.
+    is a lead, the standard plane monomials are the staircase (checked at
+    its outer corners) and its two rectangles hold a points: O(k³) at any a.
     ``basis`` overrides the generating set, which lets tests confirm that
     corrupted sets fail.
     """
-    if not table.hypothesis_ok:
-        raise HypothesisViolated("certification requires the staircase hypothesis")
+    require_hypothesis(table)
     k = params.k
     if basis is None:
         basis = family_A(params) + families_BCD(params, table)
@@ -244,6 +242,5 @@ def certify_basis(
         leads.append(StandardPoint(k * exps[k] + i, exps[k + 1]))
     if len(unit_pairs) != k * (k - 1) // 2:
         return False
-    profile = [height for lo, hi, height in rectangles(table) for _ in range(lo, hi)]
-    heights = _column_heights(leads, k, len(profile) + k)
-    return heights == profile + [0] * k and sum(profile) == params.a
+    area = sum((hi - lo) * top for lo, hi, top in rectangles(table))
+    return _standard_is_staircase(leads, table, k) and area == params.a

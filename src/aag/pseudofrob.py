@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from .core import AagParams
 from .errors import (
     DuplicatePfValue,
-    HypothesisViolated,
     InternalDispatchGap,
     MalformedPf,
     NonsenseInput,
 )
 from .euclid import EuclidTable
-from .staircase import StandardPoint, weight
+from .staircase import StandardPoint, require_hypothesis, weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,11 +146,7 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
         raise NonsenseInput(
             f"the pseudo-Frobenius decision table requires k >= 2, got k={p.k}"
         )
-    if not t.hypothesis_ok:
-        raise HypothesisViolated(
-            "pseudo-Frobenius families need r'_mu >= h or rho_mu = 0; "
-            f"pivot row has r'_mu={t.pivot.r_prime}, rho_mu={t.pivot.rho}, h={p.h}"
-        )
+    require_hypothesis(t)
 
     run1, clause1 = _pf1_dispatch(p, t)
     run2, clause2 = _pf2_dispatch(p, t)

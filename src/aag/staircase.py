@@ -59,10 +59,13 @@ class AperySet:
     points: frozenset[StandardPoint]
 
 
-def _require_hypothesis(table: EuclidTable) -> None:
+def require_hypothesis(table: EuclidTable) -> None:
+    """The one guard of every closed form proved under the hypothesis."""
     if not table.hypothesis_ok:
+        piv = table.pivot
         raise HypothesisViolated(
-            "Apery staircase is only proved when r'_mu >= h or k | s_mu"
+            "the staircase closed forms need r'_mu >= h or rho_mu = 0; "
+            f"pivot row has r'_mu={piv.r_prime}, rho_mu={piv.rho}, h={table.params.h}"
         )
 
 
@@ -80,7 +83,7 @@ def rectangles(table: EuclidTable) -> tuple[tuple[int, int, int], ...]:
 
 def iter_apery_points(table: EuclidTable) -> Iterator[StandardPoint]:
     """Yield the Apery points rectangle by rectangle (row-major)."""
-    _require_hypothesis(table)
+    require_hypothesis(table)
     for lo, hi, height in rectangles(table):
         for y in range(lo, hi):
             for z in range(height):
@@ -113,7 +116,7 @@ def _top_row_max(params: AagParams, lo: int, hi: int, z: int) -> int:
 
 def frobenius(params: AagParams, table: EuclidTable) -> int:
     """Frobenius number: max φ over the Apery set, minus a."""
-    _require_hypothesis(table)
+    require_hypothesis(table)
     best = max(
         _top_row_max(params, lo, hi, height - 1)
         for lo, hi, height in rectangles(table)
@@ -124,7 +127,7 @@ def frobenius(params: AagParams, table: EuclidTable) -> int:
 
 def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
     """φ of every Apery point (rectangle order, not sorted)."""
-    _require_hypothesis(table)
+    require_hypothesis(table)
     k, c = params.k, params.c
     # weight is affine in α, w(αk + i) = α·w(k) + w(i), so the k + 1 weights
     # of the first block give every column without building a point each.

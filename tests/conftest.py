@@ -6,8 +6,18 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from aag.core import AagParams, validate_params
-from aag.errors import AagError
+from aag.core import AagParams, Monomial, validate_params
+from aag.errors import AagError, NonsenseInput
+
+
+def monomial(nvars: int, **powers: int) -> Monomial:
+    """Convenience constructor: ``monomial(5, x0=2, x4=1)`` -> x0^2*x4."""
+    exps = [0] * nvars
+    for name, e in powers.items():
+        if not name.startswith("x"):
+            raise NonsenseInput(f"bad variable name {name!r}")
+        exps[int(name[1:])] = e
+    return Monomial(tuple(exps))
 
 
 @pytest.fixture(scope="session")

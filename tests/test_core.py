@@ -19,7 +19,6 @@ from aag.core import (
     _floor_path_min,
     _triple_member,
     is_minimal,
-    monomial,
     phi,
     validate_params,
 )
@@ -33,6 +32,8 @@ from aag.errors import (
 )
 from aag.pseudofrob import pf_tilde
 from aag.staircase import frobenius
+
+from conftest import monomial
 
 
 class TestValidateFrozen:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
-from aag.core import monomial, phi, validate_params
-from aag.errors import HypothesisViolated, NonsenseInput
-from aag.euclid import build_table, tilde_for_pair
+from aag.core import phi, validate_params
+from aag.errors import AagError, HypothesisViolated, NonsenseInput
+from aag.euclid import EuclidTable, build_table, tilde_for_pair
 from aag.grobner import (
     Binomial,
+    _standard_is_staircase,
     certify_basis,
     families_BCD,
     family_A,
@@ -19,9 +24,10 @@ from aag.grobner import (
     row_binomials,
     tilde_binomials,
 )
-from aag.staircase import StandardPoint, apery_set
+from aag.pseudofrob import pf_tilde
+from aag.staircase import StandardPoint, apery_set, frobenius, rectangles
 
-from conftest import valid_params
+from conftest import monomial, valid_params
 
 
 def _lead_divisors(params, t, basis):
@@ -37,6 +43,75 @@ def _lead_divisors(params, t, basis):
                 i for i, lead in enumerate(leads) if all(e <= f for e, f in zip(lead, m))
             }
     return out
+
+
+def _plane_point(m, k):
+    """The plane point (y, z) of a plane monomial M(y, z)."""
+    exps = m.exponents
+    units = exps[1:k]
+    pt = StandardPoint(k * exps[k] + (units.index(1) + 1 if 1 in units else 0), exps[k + 1])
+    assert plane_monomial(*pt, k) == m
+    return pt
+
+
+def _column_walk(leads, k, width):
+    """H(y) for y < width: the least ζ over the leads covering column y,
+    infinity where none does, walked block by block of k columns.
+
+    A lead at y0 = α0·k + i0 covers y when y // k >= α0 and i0 is 0 or
+    y mod k.  This Θ(s_μ) walk is the reference for the corner test.
+    """
+    by_block = {}
+    for pt in leads:
+        by_block.setdefault(pt.y // k, []).append(pt)
+    cover = [math.inf] * k  # least ζ per i0 over the blocks seen so far
+    heights = []
+    for alpha in range(-(-width // k)):
+        for pt in by_block.get(alpha, ()):
+            i0 = pt.y % k
+            cover[i0] = min(cover[i0], pt.z)
+        heights += [min(cover[0], zeta) for zeta in cover]
+    return heights[:width]
+
+
+def _walk_verdict(leads, t, k):
+    """The column heights are the staircase heights, then k zeros."""
+    profile = [height for lo, hi, height in rectangles(t) for _ in range(lo, hi)]
+    return _column_walk(leads, k, len(profile) + k) == profile + [0] * k
+
+
+_MOVES = [(dy, dz) for dy in (-2, -1, 0, 1, 2) for dz in (-1, 0, 1) if dy or dz]
+
+
+def _seeded_lead_sets(seed=16, tuples=2000):
+    """(params, table, label, leads) for seeded hypothesis tuples, k from 1
+    to 8, half of them d < 0, h = 1 and kept in both presentations: the
+    plane leads of B, C and D, then copies with a lead dropped, moved or
+    added."""
+    rng = random.Random(seed)
+    count = 0
+    while count < tuples:
+        a, k, c = rng.randint(5, 150), rng.randint(1, 8), rng.randint(3, 400)
+        d, h = (rng.randint(-7, -1), 1) if count % 2 else (rng.randint(1, 9), rng.randint(1, 4))
+        try:
+            pair = [validate_params(a, d, h, k, c, normalize=n) for n in (False, True)]
+        except AagError:
+            continue
+        for p in pair[: 1 + pair[1].normalized]:
+            t = build_table(p)
+            if not t.hypothesis_ok:
+                continue
+            count += 1
+            leads = [_plane_point(b.lead, k) for b in families_BCD(p, t)]
+            yield p, t, "true", leads
+            for _ in range(2):
+                i = rng.randrange(len(leads))
+                yield p, t, "drop", leads[:i] + leads[i + 1 :]
+                dy, dz = rng.choice(_MOVES)
+                moved = StandardPoint(max(leads[i].y + dy, 0), max(leads[i].z + dz, 0))
+                yield p, t, "move", leads[:i] + [moved] + leads[i + 1 :]
+                added = StandardPoint(rng.randrange(t.pivot.s + k), rng.randrange(t.after_pivot.p + 1))
+                yield p, t, "add", leads + [added]
 
 
 def _certify_matches_definition(params):
@@ -152,11 +227,15 @@ class TestFamiliesBCD:
         assert all(x.family != "C" for x in families_BCD(p, t))
 
     def test_hypothesis_gate(self, hypothesis_violator):
+        # One guard for every closed form, naming the pivot's r', ρ and h.
         p, t = hypothesis_violator
-        with pytest.raises(HypothesisViolated):
-            families_BCD(p, t)
-        with pytest.raises(HypothesisViolated):
-            certify_basis(p, t)
+        messages = set()
+        for compute in (families_BCD, certify_basis, pf_tilde, frobenius):
+            with pytest.raises(HypothesisViolated) as err:
+                compute(p, t)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert f"r'_mu={t.pivot.r_prime}, rho_mu={t.pivot.rho}, h={p.h}" in messages.pop()
 
 
 class TestRowAndTilde:
@@ -227,9 +306,8 @@ class TestCertification:
             assert not certify_basis(ex1, t, basis=basis[:i] + [flipped] + basis[i + 1 :]), str(b)
 
     def test_extra_element_with_the_lead_on_the_x0_side_fails(self, ex1):
-        # A lead carrying x0 divides no plane monomial, so the column
-        # profile cannot see such an element: only the leading-term check
-        # rejects it.
+        # A lead carrying x0 divides no plane monomial, so the corner test
+        # cannot see such an element: only the leading-term check rejects it.
         t = build_table(ex1)
         basis = family_A(ex1) + families_BCD(ex1, t)
         rows = row_binomials(t, ex1)
@@ -275,3 +353,43 @@ class TestCertification:
     @settings(max_examples=60, deadline=None)
     def test_matches_definition_raw(self, params):
         _certify_matches_definition(params)
+
+
+def test_corner_test_matches_the_column_walk():
+    # The corner test against the Θ(s_μ) column walk on true and corrupted
+    # lead sets; every true set passes, and many corrupted ones fail.
+    verdicts, ks, raw = {}, set(), False
+    for p, t, label, leads in _seeded_lead_sets():
+        verdict = _standard_is_staircase(leads, t, p.k)
+        assert verdict == _walk_verdict(leads, t, p.k), ((p.a, p.d, p.h, p.k, p.c), label, leads)
+        verdicts.setdefault(label, []).append(verdict)
+        ks.add(p.k)
+        raw |= not p.normalized and p.d < 0 and p.h == 1
+    assert all(verdicts["true"]) and len(verdicts["true"]) >= 2000
+    assert ks == set(range(1, 9)) and raw
+    corrupted = [v for label in ("drop", "move", "add") for v in verdicts[label]]
+    assert corrupted.count(False) > len(corrupted) // 2
+
+
+class TestKnownCost:
+    @pytest.fixture(autouse=True)
+    def refuse_rows(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("certification read the table's rows")
+
+        monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+
+    @pytest.mark.parametrize("a", [10**6 + 1, 10**9 + 19, 10**12 + 1])
+    def test_long_tables_certify_at_any_scale(self, a):
+        # (a, 1, 4, 20, 5a - 1) has a + 1 rows and s_μ near 0.96a; the
+        # corner test reads only the pivot rows, so memory does not grow with a.
+        tracemalloc.start()
+        try:
+            p = validate_params(a, 1, 4, 20, 5 * a - 1)
+            t = build_table(p)
+            certified = certify_basis(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certified and t.pivot.s > 9 * a // 10
+        assert peak < 1 << 20

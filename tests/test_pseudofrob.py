@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from aag import oracle
-from aag.core import Monomial, monomial, phi, validate_params
+from aag.core import Monomial, phi, validate_params
 from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table
 from aag.pseudofrob import PfResult, pf_tilde
 from aag.grobner import plane_monomial
 from aag.staircase import apery_set, frobenius
 
-from conftest import valid_params
+from conftest import monomial, valid_params
 
 # One witness per decision-table clause, with the full trace and the
 # oracle-confirmed pseudo-Frobenius set frozen.  Together the witnesses hit

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aag import oracle, staircase
-from aag.core import AagParams, monomial, phi, validate_params
+from aag.core import AagParams, phi, validate_params
 from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table
 from aag.grobner import plane_monomial
@@ -22,7 +22,7 @@ from aag.staircase import (
     weight,
 )
 
-from conftest import valid_params
+from conftest import monomial, valid_params
 
 
 class TestPlaneMaps:

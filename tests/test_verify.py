@@ -6,7 +6,8 @@ because ``verify.euclid_violations`` implies it.  These tests corrupt the
 rows of seeded tables, in the raw and in the rewritten d < 0, h = 1
 presentation, and check that every corruption the kernel checks would flag
 is flagged by ``euclid_violations``, and that every moved quotient or
-index is flagged even where the kernel checks see nothing.
+index is flagged even where the kernel checks see nothing.  A last test
+pins the pair that the ``r~ < 2`` check reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 from aag.core import validate_params
 from aag.errors import AagError
-from aag.euclid import EuclidRow, EuclidTable, build_table
+from aag.euclid import EuclidRow, EuclidTable, build_table, tilde_for_pair
 from aag.grobner import kernel_check, row_binomials, tilde_binomials
 from aag.verify import euclid_violations
 
@@ -137,3 +138,22 @@ def test_every_quotient_and_index_corruption_is_caught():
             assert _euclid_catches(p, corrupted), ((p.a, p.d, p.h, p.k, p.c), label)
             seen[field] += 1
     assert seen["q"] > 1000 and seen["index"] > 2000
+
+
+def test_small_r_tilde_is_caught_on_its_own_pair():
+    # Move r_{i+1} so that the pair (i, i + 1) has r~ = 1, then r~ = 2: the
+    # check fires on that pair, and only there, exactly below 2.  Raising
+    # r_{i+1} only raises the r~ of the pair (i + 1, i + 2).
+    seen = 0
+    for p, t in TABLES:
+        rows = t.rows
+        for i, (lo, hi) in enumerate(zip(rows, rows[1:])):
+            r_tilde = tilde_for_pair(lo, hi, p.k, p.h)[3]
+            for target, expected in ((1, [f"rows {i},{i + 1}: r~ < 2"]), (2, [])):
+                bad = hi._replace(r=hi.r + r_tilde - target)
+                corrupted = _with_rows(t, rows[: i + 1] + (bad,) + rows[i + 2 :])
+                assert tilde_for_pair(lo, bad, p.k, p.h)[3] == target
+                fired = [v for v in euclid_violations(p, corrupted) if v.endswith("r~ < 2")]
+                assert fired == expected, ((p.a, p.d, p.h, p.k, p.c), i, target)
+            seen += 1
+    assert seen > 500
