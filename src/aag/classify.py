@@ -6,34 +6,40 @@ A validated parameter tuple is classified from its Euclidean table alone:
 * ``AlmostSymmetric``-- type >= 2 and the mirror pairing f_i + f_{t-i} = F
   holds across the sorted pseudo-Frobenius list,
 * ``NeitherSpecial`` -- everything else the closed forms can handle,
-* ``OracleOnly``     -- the standing hypothesis fails or k < 3, so only the
-  brute-force oracle facts (type, Frobenius number) are reported.
+* ``OracleOnly``     -- the standing hypothesis fails or k < 3, so the
+  type, Frobenius number and pseudo-Frobenius set come from the brute-force
+  oracle.
 
 Symmetric and almost-symmetric semigroups belong to thirteen closed-form
 families.  Each family is one theorem, held as one :class:`Family` record in
-the ordered registry :data:`FAMILIES`: its fingerprint on the two table rows
-around the pivot, its type and Frobenius formulas, its stated side
-conditions, its (a, d, c) synthesis and, for almost-symmetric families, the
-equation that pins the column count ``p``.  The family id strings are the
-stable output vocabulary of this package: downstream consumers match on
-them, so they are data, not prose.
+the ordered registry :data:`FAMILIES`: where its parameters sit on the two
+table rows around the pivot, its type and Frobenius formulas, its stated
+side conditions, its (a, d, c) synthesis and, for almost-symmetric families,
+the equation that pins the column count ``p``.  A tuple is a member exactly
+when the family's parameters pass its side conditions and its synthesis
+gives back the tuple's (a, d, c): both routes below match a family by that
+one test, and ``family_generate`` builds members from the same conditions
+and synthesis.  The family id strings are the stable output vocabulary of
+this package: downstream consumers match on them, so they are data, not
+prose.
 
 Two routes produce a classification:
 
 * :func:`classify` -- the full route: build the table, compute the
-  pseudo-Frobenius families, run the pairing check, then match the pivot
-  rows against each family fingerprint.
+  pseudo-Frobenius families, run the pairing check, then read each
+  candidate family's parameters off the pivot rows and run its membership
+  test.
 * :func:`fast_path` -- the quadratic route: for each almost-symmetric
   family, take ``p`` from its quadratic (or linear) equation in exact
   integer arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``,
-  and accept only when the family's side conditions hold and its synthesis
-  reproduces ``(a, d, c)``.  The two routes agree everywhere (tested).
-  The fast route needs no table, but on a short table it is not the
-  cheaper one, because it solves one quadratic per ``l`` below ``k``: at
-  (155, 1, 4, 20, 177) it takes 42 us, about as long as ``build_table``
-  (22 us) and ``classify`` on that table (18 us) together (2-core host,
-  Python 3.11.7, timeit best of 5).  The command line answers through
-  ``classify`` only.
+  and accept only when the family's membership test holds.  The two routes
+  agree everywhere (tested).  The fast route needs no table, but it solves
+  one quadratic per ``l`` below ``k``: at (155, 1, 4, 20, 177) it takes
+  41 us, against 9 us for ``build_table`` and 52 us for ``classify`` on
+  that table, most of it the membership tests of the nine almost-symmetric
+  families (2-core host, Python 3.11.7, timeit best of 5); only a
+  Symmetric or AlmostSymmetric verdict runs them.  The command line
+  answers through ``classify`` only.
 
 Both routes match families on the *raw* presentation: parameters that were
 rewritten during validation (d < 0, h = 1) are converted back before
@@ -107,7 +113,7 @@ def nari_check(pf_numbers: list[int], frob: int) -> bool:
 
 
 def _raw_presentation(p: AagParams) -> AagParams:
-    """Undo the d < 0, h = 1 rewrite: families are fingerprinted on the raw tuple.
+    """Undo the d < 0, h = 1 rewrite: families are matched on the raw tuple.
 
     The rewrite lists the same generators from the other end, and that set
     was already validated, so nothing is checked again.
@@ -137,17 +143,18 @@ Condition = Callable[..., str | None]
 class Family:
     """One classification theorem.
 
-    ``fits`` and ``read`` take the pivot row, the row after it, ``h`` and
-    ``k`` (``read`` only the rows); ``read`` returns the values of ``keys``.
-    Every other callable takes the family's variables as keywords and
-    ignores the rest: the presentation ``a, d, h, k, c`` with
+    ``read`` takes the pivot row and the row after it and returns the values
+    of ``keys`` there.  Every other callable takes the family's variables as
+    keywords and ignores the rest: the presentation ``a, d, h, k, c`` with
     ``a1 = ha + d``, ``a2 = ha + 2d``, ``ak = ha + kd``, and the family
     parameters among ``l, sigma, sigma_prime, p, p_prime, r, r_hat``.
 
     The stated side conditions are split into ``requires`` (on ``h``, ``k``
     and, for one family, ``d``: which presentations the family covers) and
     ``conditions`` (on the family parameters); ``family_generate`` checks
-    them in that order.  ``synthesize`` gives the member's ``(a, d, c)``:
+    them in that order.  ``synthesize`` gives the member's ``(a, d, c)``; a
+    tuple is a member exactly when its parameters pass both kinds of
+    condition and synthesize back to its ``(a, d, c)`` (:func:`_is_member`).
     ``a`` is affine in ``sigma`` and ``d`` is affine in ``r``, which is what
     lets the fast path back-solve both.  ``solve`` (almost-symmetric
     families only) lists the candidate values of ``p``, with ``l`` where the
@@ -158,7 +165,6 @@ class Family:
     id: str
     symmetric: bool
     keys: tuple[str, ...]
-    fits: Callable[[EuclidRow, EuclidRow, int, int], bool]
     read: Callable[[EuclidRow, EuclidRow], tuple[int, ...]]
     t_formula: Callable[..., int]
     f_formula: Callable[..., int]
@@ -215,7 +221,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm4.1-case1",
         symmetric=True,
         keys=("sigma", "p", "p_prime", "r", "r_hat"),
-        fits=lambda piv, nxt, h, k: nxt.s == 0 and piv.rho == 2,
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r, nxt.r),
         t_formula=lambda **_: 1,
         f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: a1 + sigma * ak + c * (p_prime - 1) - a,
@@ -230,7 +235,7 @@ FAMILIES: tuple[Family, ...] = (
                 None if math.gcd(p_prime, r_hat) == 1 else "gcd(p_prime, r_hat) must be 1"
             ),
             lambda r, h, sigma, **_: (
-                None if r + h * sigma > 0 else f"need r + h*sigma > 0, got {r + h * sigma}"
+                None if r + h * sigma >= 0 else f"need r + h*sigma >= 0, got {r + h * sigma}"
             ),
         ),
         synthesize=lambda k, sigma, p, p_prime, r, r_hat, **_: (
@@ -243,10 +248,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm4.1-case2",
         symmetric=True,
         keys=("sigma", "sigma_prime", "p", "p_prime", "r"),
-        fits=lambda piv, nxt, h, k: (
-            piv.rho == 2 and nxt.s > 0 and nxt.rho == 0 and nxt.r_prime == 0
-            and piv.sigma >= nxt.sigma >= 2
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.sigma, piv.p, nxt.p, piv.r),
         t_formula=lambda **_: 1,
         f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
@@ -270,7 +271,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm4.1-case3",
         symmetric=True,
         keys=("sigma", "p", "p_prime", "r"),
-        fits=lambda piv, nxt, h, k: piv.rho == 2 and piv.s - nxt.s == 1 and nxt.r_prime == 0,
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r),
         t_formula=lambda **_: 1,
         f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
@@ -288,9 +288,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm4.1-case4",
         symmetric=True,
         keys=("sigma", "p", "p_prime", "r_hat"),
-        fits=lambda piv, nxt, h, k: (
-            piv.rho == 1 and piv.r_prime == h and nxt.s == k - 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, nxt.r),
         t_formula=lambda **_: 1,
         f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: (
@@ -313,10 +310,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.1",
         symmetric=False,
         keys=(),
-        fits=lambda piv, nxt, h, k: (
-            h == 1 and k % 2 == 1 and piv.s == k + 1 and nxt.s == k
-            and piv.p == 1 and nxt.p == 2 and piv.r >= 0 and nxt.r == -2
-        ),
         read=lambda piv, nxt: (),
         t_formula=lambda k, **_: k + 1,
         f_formula=lambda k, d, **_: k * d,
@@ -336,10 +329,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.2",
         symmetric=False,
         keys=("sigma", "p"),
-        fits=lambda piv, nxt, h, k: (
-            h >= 2 and piv.rho == 1 and piv.r_prime == h and piv.p == 1
-            and nxt.rho == 0 and nxt.sigma == piv.sigma and nxt.r_prime == -1
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.p),
         t_formula=lambda k, **_: k + 1,
         f_formula=lambda a1, a2, ak, **_: 3 * a1 - 2 * a2 - ak,
@@ -359,10 +348,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.3-(i)",
         symmetric=False,
         keys=("l", "sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            h == 1 and piv.rho == 2 and piv.p == 1 and piv.sigma >= 2
-            and nxt.r_prime == 0 and nxt.rho >= 1 and nxt.sigma == piv.sigma - 1
-        ),
         read=lambda piv, nxt: (nxt.rho, piv.sigma, nxt.p, piv.r),
         t_formula=lambda k, l, **_: k - l + 1,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
@@ -390,9 +375,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.3-(ii)",
         symmetric=False,
         keys=("sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            piv.rho == 2 and piv.p == 1 and piv.s - nxt.s == 1 and nxt.r_prime == -1
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.p, piv.r),
         t_formula=lambda **_: 2,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
@@ -421,10 +403,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.4-(i)",
         symmetric=False,
         keys=("l", "sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            h == 1 and piv.rho >= 3 and piv.r_prime == 1 and nxt.s == piv.rho - 2
-            and nxt.p == piv.p + 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.rho - 2, piv.sigma, nxt.p, nxt.r),
         t_formula=lambda l, **_: l + 1,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 1) * c - a,
@@ -450,10 +428,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.4-(ii)",
         symmetric=False,
         keys=("sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            piv.rho == 0 and piv.r_prime == 1 and piv.sigma >= 2 and nxt.s == k - 2
-            and nxt.p == piv.p + 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
         t_formula=lambda k, **_: k - 1,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
@@ -473,10 +447,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.4-(iii)",
         symmetric=False,
         keys=("sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            piv.rho == 1 and piv.r_prime == h + 1 and nxt.s == k - 1
-            and nxt.p == piv.p + 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
         t_formula=lambda k, **_: k,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
@@ -498,10 +468,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.4-(iv)",
         symmetric=False,
         keys=("p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            h == 1 and piv.s == k + 1 and piv.r == -1 and nxt.s == k
-            and nxt.p == piv.p + 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.p, nxt.r),
         t_formula=lambda k, **_: k + 1,
         f_formula=lambda a, c, p, **_: p * c - a,
@@ -517,10 +483,6 @@ FAMILIES: tuple[Family, ...] = (
         id="Thm5.4-(v)",
         symmetric=False,
         keys=("sigma", "p", "r"),
-        fits=lambda piv, nxt, h, k: (
-            h == 1 and piv.rho == 1 and piv.r_prime == 1 and piv.sigma >= 2
-            and nxt.s == 2 * k - 1 and nxt.p == piv.p + 1 and nxt.r_prime < 0
-        ),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
         t_formula=lambda **_: 2,
         f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 2) * ak + (p - 1) * c - a,
@@ -570,16 +532,27 @@ def _variables(p: AagParams) -> dict[str, int]:
     }
 
 
+def _is_member(fam: Family, v: dict[str, int]) -> bool:
+    """Whether ``v`` -- presentation variables and family parameters --
+    names a member of ``fam``: the stated side conditions hold and the
+    synthesis gives back ``v``'s (a, d, c)."""
+    return not any(
+        violation(**v) for violation in (*fam.requires, *fam.conditions)
+    ) and fam.synthesize(**v) == (v["a"], v["d"], v["c"])
+
+
 def match_families(
     p: AagParams, t: EuclidTable, candidates: tuple[str, ...]
 ) -> list[tuple[str, dict[str, int]]]:
-    """All fingerprint matches among ``candidates``, in canonical order."""
-    piv, nxt = t.pivot, t.after_pivot
+    """The families among ``candidates`` that ``p`` is a member of, with the
+    parameters read off its pivot rows, in canonical order."""
+    env = _variables(p)
     hits = []
     for family in candidates:
         fam = _family(family)
-        if fam.fits(piv, nxt, p.h, p.k):
-            hits.append((family, dict(zip(fam.keys, fam.read(piv, nxt)))))
+        solved = dict(zip(fam.keys, fam.read(t.pivot, t.after_pivot)))
+        if _is_member(fam, {**env, **solved}):
+            hits.append((family, solved))
     return hits
 
 
@@ -640,7 +613,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
     ``t`` is the caller's table of ``p`` (built when None).  The verdict,
     type, PF set, Frobenius number and dispatch trace come from it in either
     presentation; only a Symmetric or AlmostSymmetric verdict on a rewritten
-    d < 0, h = 1 tuple builds the raw table, to match the family fingerprints.
+    d < 0, h = 1 tuple builds the raw table, to read the family parameters.
     """
     if t is None:
         t = build_table(p)
@@ -709,7 +682,7 @@ def _affine_root(fam: Family, v: dict, key: str, i: int, target: int) -> int | N
 
 def _members(fam: Family, env: dict[str, int]) -> list[dict[str, int]]:
     """Solved parameters of every member of ``fam`` with this presentation."""
-    a, d, c = env["a"], env["d"], env["c"]
+    # The presentation alone settles ``requires``: skip the solve when it fails.
     if any(violation(**env) for violation in fam.requires):
         return []
     hits = []
@@ -717,18 +690,14 @@ def _members(fam: Family, env: dict[str, int]) -> list[dict[str, int]]:
         # a does not depend on r: any r will do while sigma is solved.
         v = {**env, "r": 0, **pinned}
         if "sigma" in fam.keys:
-            v["sigma"] = _affine_root(fam, v, "sigma", 0, a)
+            v["sigma"] = _affine_root(fam, v, "sigma", 0, env["a"])
             if v["sigma"] is None:
                 continue
         if "r" in fam.keys:
-            v["r"] = _affine_root(fam, v, "r", 1, d)
+            v["r"] = _affine_root(fam, v, "r", 1, env["d"])
             if v["r"] is None:
                 continue
-        if (
-            not any(violation(**v) for violation in fam.conditions)
-            and (fam.fast_guard is None or fam.fast_guard(**v))
-            and fam.synthesize(**v) == (a, d, c)
-        ):
+        if _is_member(fam, v) and (fam.fast_guard is None or fam.fast_guard(**v)):
             hits.append({key: v[key] for key in fam.keys})
     return hits
 

@@ -58,7 +58,7 @@ from .core import AagParams, is_minimal, validate_params
 from .errors import AagError, NonsenseInput
 from .euclid import EuclidTable, build_table, format_table
 from .grobner import families_BCD, family_A
-from .staircase import apery_values, iter_apery_points
+from .staircase import apery_values, iter_apery_points, require_hypothesis
 from .verify import verify_tuple
 
 EXIT_OK = 0
@@ -426,6 +426,8 @@ def cmd_analyze(args) -> int:
             raise NonsenseInput(
                 f"--apery prints a = {p.a} lines, above the cap {cap} (set AAG_MAX_A to raise it)"
             )
+        # Refuse before the header, so stdout holds only the error document.
+        require_hypothesis(t)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("y", "z", "phi"))
         for pt, value in zip(iter_apery_points(t), apery_values(p, t)):

@@ -17,7 +17,8 @@ messages (empty means the tuple passed):
 * ``grobner_violations``     -- the generating-set certification.
 * ``agreement_violations``   -- the quadratic fast path against the full
   classification route: an almost-symmetric verdict with a family must be
-  reproduced exactly; anything else must leave the fast path silent.
+  reproduced exactly; anything else must leave the fast path silent.  Both
+  routes need k >= 3, so ``verify_tuple`` skips this group below that.
 
 ``verify_tuple`` runs all four on the presentation it is given (``aag
 verify`` walks the raw one, as ``aag scan`` does; the acceptance tests
@@ -182,9 +183,14 @@ def agreement_violations(p: AagParams, full: Classification) -> list[str]:
 
 def verify_tuple(p: AagParams, t: EuclidTable, rep: oracle.OracleReport) -> list[str]:
     """All four check groups on one hypothesis-satisfying tuple, with ``rep``
-    the oracle's report of ``p.generators`` over ``p.a``."""
+    the oracle's report of ``p.generators`` over ``p.a``.
+
+    The agreement group runs only when k >= 3: below that ``fast_path`` is
+    silent and ``classify`` would only build a second oracle report.
+    """
     out = closed_form_violations(p, t, rep)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
-    out += agreement_violations(p, classify(p, t))
+    if p.k >= 3:
+        out += agreement_violations(p, classify(p, t))
     return out

@@ -83,10 +83,12 @@ FAMILY_MEMBERS = [
     ("Thm5.4-(iv)", {"k": 4, "p": 3, "r": -3}, (8, 5, 1, 4, 11), 5, 25),
     ("Thm5.4-(v)", {"k": 3, "sigma": 2, "p": 2, "r": -3}, (9, -1, 1, 3, 11), 2, 10),
     ("Thm5.4-(v)", {"k": 3, "sigma": 2, "p": 2, "r": -5}, (9, 1, 1, 3, 25), 2, 26),
+    # The case1 boundary r + h*sigma = 0 (r'_mu = h on a rho_mu = 2 pivot).
+    ("Thm4.1-case1", {"h": 1, "k": 4, "sigma": 1, "p": 1, "p_prime": 25, "r": -1, "r_hat": -18}, (150, -7, 1, 4, 108), 1, 2707),
 ]
 
 # r-range boundary members the solved-parameter inequalities of the family
-# statements would misplace; the table fingerprint and the corrected fast
+# statements would misplace; the full route's match and the corrected fast
 # path both must accept them: (a, d, h, k, c, family, solved, type, F).
 BOUNDARY_MEMBERS = [
     (52, -5, 3, 3, 25, "Thm5.4-(iii)", {"sigma": 2, "p": 10, "r": -5}, 3, 465),
@@ -409,6 +411,9 @@ class TestFamilyGenerateConstraints:
             ("Thm5.4-(iv)", {"k": 3, "p": 2, "r": -1}, "r < -1"),
             ("Thm5.4-(v)", {"k": 3, "sigma": 2, "p": 2, "r": -2}, "r <= -3"),
             ("Thm5.4-(i)", {"k": 3, "l": 1, "sigma": 1, "p": 2, "r": -2}, "k >= 4"),
+            ("Thm4.1-case1",
+             {"h": 2, "k": 3, "sigma": 1, "p": 1, "p_prime": 2, "r": -3, "r_hat": -3},
+             r"need r \+ h\*sigma >= 0, got -1"),
         ],
     )
     def test_stated_constraints_enforced(self, family, params, fragment):

@@ -317,6 +317,11 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", *EX1, "--apery")
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "NonsenseInput"
+        # A tuple outside the hypothesis is refused before the CSV header.
+        tuple_ = ("--a", "10", "--d", "1", "--h", "2", "--k", "3", "--c", "17")
+        code, out, _ = run_cli(capsys, "analyze", *tuple_, "--apery")
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["error"] == "HypothesisViolated"
 
     def test_grobner_dump_format_and_count(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", *EX1, "--grobner")
@@ -628,6 +633,21 @@ class TestVerify:
         assert counts["mismatches"] == 0
         assert counts["checked"] > 0
         assert counts["checked"] + counts["skipped"] == 26 * 3 * 34 * 2 * 2
+
+    def test_k_two_builds_no_second_oracle_report(self, monkeypatch):
+        # The chunk's walk passes the report; nothing in the battery builds one.
+        p = validate_params(11, 3, 1, 2, 13)
+        t = build_table(p)
+        rep = oracle.oracle_report(list(p.generators), p.a)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rep
+
+        monkeypatch.setattr(oracle, "oracle_report", counting)
+        assert verify_tuple(p, t, rep) == []
+        assert calls == []
 
     def test_worker_counts_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", *self.GRID)
