@@ -681,10 +681,8 @@ def _affine_root(fam: Family, v: dict, key: str, i: int, target: int) -> int | N
 
 
 def _members(fam: Family, env: dict[str, int]) -> list[dict[str, int]]:
-    """Solved parameters of every member of ``fam`` with this presentation."""
-    # The presentation alone settles ``requires``: skip the solve when it fails.
-    if any(violation(**env) for violation in fam.requires):
-        return []
+    """Solved parameters of every member of ``fam`` with this presentation
+    (the caller has checked ``fam.requires`` on it)."""
     hits = []
     for pinned in fam.solve(**env):
         # a does not depend on r: any r will do while sigma is solved.
@@ -713,11 +711,14 @@ def fast_path(p: AagParams) -> Classification | None:
     p = _raw_presentation(p)
     if p.k < 3:
         return None
+    # ``requires`` reads only h, k and d, so the presentation settles it
+    # once per call, before any solve.
+    shape = {"h": p.h, "k": p.k, "d": p.d}
     env = _variables(p)
     hits = [
         (fam, solved)
         for fam in FAMILIES
-        if fam.solve is not None
+        if fam.solve is not None and not any(violation(**shape) for violation in fam.requires)
         for solved in _members(fam, env)
     ]
     if not hits:

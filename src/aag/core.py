@@ -5,7 +5,9 @@ a, ha+d, ha+2d, ..., ha+kd together with one extra generator c, subject to
 gcd(a, d) = 1, all generators positive, and the list being a *minimal*
 generating system (embedding dimension k+2).  ``validate_params`` is the one
 gate every entry point goes through; everything downstream may assume its
-invariants.  Minimality is decided in closed form by ``is_minimal``, in
+invariants.  Minimality is decided in closed form by ``is_minimal``: the
+generator differences form a few progressions of step d or -d, and each is
+settled with at most two Apery lookups per translate by a multiple of c, in
 time that does not grow with a; the brute-force oracle referees it in the
 tests and in ``aag verify``.
 
@@ -195,6 +197,9 @@ def _arithmetic_apery(a: int, d: int, h: int, k: int):
 
 #: A membership search of up to this many steps per translate runs step by
 #: step; a longer one runs ``_floor_path_min`` (see ``_triple_member``).
+#: ``is_minimal`` settles a progression of differences whole when it has at
+#: most this many translates by multiples of c, and one term at a time
+#: otherwise.
 _SHORT_SEARCH = 64
 
 
@@ -282,51 +287,22 @@ def _triple_member(top: int, bottom: int, c: int):
     return member
 
 
-def is_minimal(p: AagParams) -> bool:
-    """Are the k+2 generators a minimal generating system of S?
+def _run_at_least(first: int, step: int, count: int, floor: int) -> tuple[int, int]:
+    """First term and length of the run of first + s*step (0 <= s < count)
+    that is at least ``floor``; a progression is monotone, so it is one run."""
+    if step > 0:
+        skip = max(0, -((first - floor) // step))
+        return first + skip * step, count - skip
+    return first, min(count, (first - floor) // -step + 1)
 
-    Equals ``oracle.is_minimal_generating(list(p.generators))`` on every
-    validated tuple, in time that does not grow with a.  A minimal system
-    has at most as many generators as its smallest generator m (they lie
-    in distinct classes mod m), so k + 2 > m makes the system redundant,
-    and so does a duplicate generator or a generator equal to 1.
-    Otherwise a generator g is redundant exactly when g - g' lies in S for
-    a smaller generator g' (the pair criterion of the oracle), so only the
-    distinct positive differences are tested: m*|d| for 1 <= m < k, the
-    |g_i - a| and the |c - g| for g in the arithmetic part A, at most 3k
-    values.  A difference below the smallest generator is never in S.
 
-    Membership in S = T + N*c, with T = <A>, uses one of two searches:
-
-    * x - m*c in T for some m <= min(x // c, min(A) - 1), each test O(1)
-      through the Apery function of T (see ``_arithmetic_apery``).  A
-      witness with m < min(A) exists because c*g is in T for g in A.
-      This search runs when it takes at most k * min(x // G + 1, 64)
-      steps, G = max(a, ha+kd); it takes one step when x < c.
-    * Otherwise, x - g_i in <G, B, c> for some 0 <= i < k (g_0 = 0), with
-      B = min(a, ha+kd).  Every Apery element of T is 0 or
-      (t-1)*(ha+kd) + g_i with 1 <= i <= k, so S is the union of the
-      translates g_i + <a, ha+kd, c>.  ``_triple_member`` answers each
-      translate in at most 64 steps or O(log^2) Euclidean steps.
-
-    So a difference costs O(k * 64 + k * log^2 c) integer operations (times
-    k for the d < 0 window of ``_arithmetic_apery`` when a < k*|d|/h),
-    whatever a and h are.
-    """
-    gens = p.generators
-    if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
-        return False
-    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
-    if d < 0 and h == 1:
-        # The raw presentation lists the same set from the other end.
-        a, d = a + k * d, -d
-    arithmetic = [a, *(h * a + i * d for i in range(1, k + 1))]
-    top, bottom = max(a, arithmetic[-1]), min(a, arithmetic[-1])
-    smallest = min(gens)
-    apery = _arithmetic_apery(a, d, h, k)
+def _translate_search(a: int, d: int, h: int, k: int, c: int, apery):
+    """Membership x in S, one difference at a time (see ``is_minimal``)."""
+    ak = h * a + k * d
+    top, bottom = max(a, ak), min(a, ak)
+    smallest_in_a = min(a, h * a + d, ak)
     in_triple = _triple_member(top, bottom, c)
-    smallest_in_a = min(arithmetic)
-    translates = sorted((0, *arithmetic[1:-1]))
+    translates = sorted((0, *(h * a + i * d for i in range(1, k))))
 
     def in_s(x: int) -> bool:
         by_c = min(x // c, smallest_in_a - 1) + 1
@@ -342,10 +318,103 @@ def is_minimal(p: AagParams) -> bool:
                 return True
         return False
 
-    differences = {m * abs(d) for m in range(1, k)}
-    differences.update(abs(g - a) for g in arithmetic[1:])
-    differences.update(abs(c - g) for g in arithmetic)
-    return not any(in_s(v) for v in differences if v >= smallest)
+    return in_s
+
+
+def is_minimal(p: AagParams) -> bool:
+    """Are the k+2 generators a minimal generating system of S?
+
+    Equals ``oracle.is_minimal_generating(list(p.generators))`` on every
+    validated tuple, in time that does not grow with a.  A minimal system
+    has at most as many generators as its smallest generator m (they lie
+    in distinct classes mod m), so k + 2 > m makes the system redundant,
+    and so does a duplicate generator or a generator equal to 1.
+    Otherwise a generator g is redundant exactly when g - g' lies in S for
+    a smaller generator g' (the pair criterion of the oracle).  The
+    positive differences form at most six arithmetic progressions of step
+    d or -d: m*|d| for 1 <= m < k, g_i - a and c - g_i for 1 <= i <= k
+    (each split where its sign flips, the negative part read as a - g_i
+    and g_i - c), and |c - a|.  A difference below the smallest generator
+    is never in S, so each progression is cut there.
+
+    x is in S = T + N*c, T = <a, ha+d, ..., ha+kd>, exactly when x - t*c
+    is in T for some t <= min(x // c, min(A) - 1): a witness with
+    t < min(A) exists because c*g is in T for g in A.  For each t the
+    translates of a progression form a progression y, y + e, ... of step
+    e = +-d again, and one lemma settles it with at most two lookups of
+    the Apery function of T (``_arithmetic_apery``).  With
+    j(y) = y * d^-1 mod a, y is in T exactly when
+    y - J*d >= ceil(J/k)*h*a for J = j(y) + m*a with m = 0 (or some m < k
+    in the d < 0 window).  Along the progression j moves by +-1 and wraps
+    at most once, since it has at most k < a terms; on a wrap-free piece
+    y - J*d is fixed and ceil(J/k) does not fall as J grows.  So the term
+    of least j on each piece is in T whenever any term of it is: the
+    first term and the term with j = 0 when j rises, the term with j = 0
+    and the last term when j falls.
+
+    A progression whose t range is longer than ``_SHORT_SEARCH`` is
+    searched one difference at a time instead: x - m*c in T step by step
+    when that takes at most k * min(x // G + 1, 64) steps, G = max(a,
+    ha+kd); otherwise x - g_i in <G, B, c> for some 0 <= i < k (g_0 = 0),
+    with B = min(a, ha+kd).  Every Apery element of T is 0 or
+    (t-1)*(ha+kd) + g_i with 1 <= i <= k, so S is the union of the
+    translates g_i + <a, ha+kd, c>, and ``_triple_member`` answers each in
+    at most 64 steps or O(log^2) Euclidean steps.
+
+    So a call makes at most 2 * 6 * 64 Apery lookups on the short
+    progressions, whatever k is, and a difference of a long progression
+    costs O(k * 64 + k * log^2 c) integer operations; a lookup costs O(1),
+    or O(k) in the d < 0 window of ``_arithmetic_apery`` (a < k*|d|/h).
+    """
+    gens = p.generators
+    if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
+        return False
+    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
+    if d < 0 and h == 1:
+        # The raw presentation lists the same set from the other end.
+        a, d = a + k * d, -d
+    g1 = h * a + d
+    smallest = min(gens)
+    smallest_in_a = min(a, g1, h * a + k * d)
+    apery = _arithmetic_apery(a, d, h, k)
+    d_inv = pow(d, -1, a)
+    in_s = None
+    # (first term, step, number of terms); the step is d or -d.
+    progressions = (
+        (abs(d), abs(d), k - 1),
+        (g1 - a, d, k),
+        (a - g1, -d, k),
+        (c - g1, -d, k),
+        (g1 - c, d, k),
+        (abs(c - a), d, 1),
+    )
+    for first, step, count in progressions:
+        first, count = _run_at_least(first, step, count, smallest)
+        if count <= 0:
+            continue
+        last = first + (count - 1) * step
+        by_c = min(max(first, last) // c, smallest_in_a - 1) + 1
+        if by_c > _SHORT_SEARCH:
+            if in_s is None:
+                in_s = _translate_search(a, d, h, k, c, apery)
+            if any(in_s(x) for x in range(first, last + step, step)):
+                return False
+            continue
+        for t in range(by_c):
+            y, z = first - t * c, last - t * c
+            j = y * d_inv % a
+            if step == d:
+                # j rises from j(y) and wraps to 0 at term a - j, if any.
+                wrap = y + (a - j) * step
+                if y >= apery(y) or (a - j < count and wrap >= apery(wrap)):
+                    return False
+            else:
+                # j falls to 0 at term j, then wraps to a - 1; the last term
+                # has the least j after the wrap (or overall, without one).
+                zero = y + j * step
+                if z >= apery(z) or (j < count - 1 and zero >= apery(zero)):
+                    return False
+    return True
 
 
 def phi(m: Monomial, p: AagParams) -> int:

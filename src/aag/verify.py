@@ -52,12 +52,18 @@ from .staircase import apery_values, frobenius
 
 
 def closed_form_violations(
-    p: AagParams, t: EuclidTable, rep: oracle.OracleReport | None = None
+    p: AagParams,
+    t: EuclidTable,
+    rep: oracle.OracleReport | None = None,
+    full: Classification | None = None,
 ) -> list[str]:
     """Apery / PF / Frobenius closed forms and minimality against the oracle.
 
     ``rep`` is the oracle's report of ``p.generators`` over ``p.a``, built
-    here when not given.  Every tuple that reaches the battery passed
+    here when not given.  ``full`` is ``classify(p, t)`` when the caller
+    has it (k >= 3): its PF set and Frobenius number are the closed forms
+    on ``t``, so they are compared instead of running ``pf_tilde`` and
+    ``frobenius`` again.  Every tuple that reaches the battery passed
     ``core.is_minimal``; the oracle's Apery table (one table serves every
     check here) confirms that no positive difference of two generators lies
     in S.
@@ -73,11 +79,13 @@ def closed_form_violations(
     in_s = sorted(v for v in differences if rep.apery[v % p.a] <= v)
     if in_s:
         out.append(f"minimality mismatch: generator differences {in_s[:6]} lie in S")
-    closed_pf = list(pf_tilde(p, t).pf_numbers)
+    if full is None:
+        closed_pf, closed_f = list(pf_tilde(p, t).pf_numbers), frobenius(p, t)
+    else:
+        closed_pf, closed_f = list(full.pf), full.frobenius
     oracle_pf = list(rep.pf)
     if closed_pf != oracle_pf:
         out.append(f"pf mismatch: closed {closed_pf} vs oracle {oracle_pf}")
-    closed_f = frobenius(p, t)
     oracle_f = rep.frobenius
     if closed_f != oracle_f:
         out.append(f"frobenius mismatch: closed {closed_f} vs oracle {oracle_f}")
@@ -185,12 +193,16 @@ def verify_tuple(p: AagParams, t: EuclidTable, rep: oracle.OracleReport) -> list
     """All four check groups on one hypothesis-satisfying tuple, with ``rep``
     the oracle's report of ``p.generators`` over ``p.a``.
 
-    The agreement group runs only when k >= 3: below that ``fast_path`` is
-    silent and ``classify`` would only build a second oracle report.
+    The tuple is classified once when k >= 3, and that classification
+    serves both the closed-form and the agreement group.  Below k = 3
+    ``fast_path`` is silent and ``classify`` would only build a second
+    oracle report, so the agreement group does not run and the closed-form
+    group computes the PF set and Frobenius number itself.
     """
-    out = closed_form_violations(p, t, rep)
+    full = classify(p, t) if p.k >= 3 else None
+    out = closed_form_violations(p, t, rep, full)
     out += euclid_violations(p, t)
     out += grobner_violations(p, t)
-    if p.k >= 3:
-        out += agreement_violations(p, classify(p, t))
+    if full is not None:
+        out += agreement_violations(p, full)
     return out

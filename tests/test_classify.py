@@ -150,6 +150,14 @@ class TestRegistry:
         for fam in FAMILIES:
             assert (fam.solve is None) == fam.symmetric, fam.id
 
+    def test_requires_reads_only_h_k_and_d(self):
+        # fast_path settles ``requires`` on these three before any solve.
+        others = {"a": 155, "c": 177, "a1": 621, "a2": 622, "ak": 640}
+        for fam in FAMILIES:
+            for h, k, d in product((1, 2, 3), (2, 3, 4, 5), (-2, 1, 2)):
+                for violation in fam.requires:
+                    assert violation(h=h, k=k, d=d) == violation(h=h, k=k, d=d, **others)
+
 
 class TestRawPresentation:
     EXPECTED = ("Thm5.3-(i)", {"l": 14, "sigma": 4, "p": 3, "r": -2}, 6, 668)

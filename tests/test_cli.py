@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, record schema, determinism, dumps."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -71,6 +72,20 @@ SWEEP_BOX = (
 def _off_by_one_frobenius(p, t):
     """A deliberately wrong closed-form Frobenius number."""
     return frobenius(p, t) + 1
+
+
+def _break_frobenius(monkeypatch):
+    """Make the closed-form Frobenius number the battery compares off by one:
+    the one ``classify`` reports for a k >= 3 tuple, and ``verify``'s own
+    ``frobenius`` for a k = 2 one.  (``classify`` itself refuses a Frobenius
+    number that is not its largest PF number, so it is broken downstream.)"""
+
+    def off_by_one_classify(p, t):
+        full = classify(p, t)
+        return dataclasses.replace(full, frobenius=full.frobenius + 1)
+
+    monkeypatch.setattr(aag.verify, "classify", off_by_one_classify)
+    monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
 
 
 def run_cli(capsys, *argv):
@@ -553,7 +568,7 @@ class TestVerify:
     @pytest.mark.parametrize("off_by_one,mismatches", [(False, 0), (True, 1307)])
     def test_small_grid_tallies(self, capsys, monkeypatch, off_by_one, mismatches):
         if off_by_one:
-            monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+            _break_frobenius(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", *SMALL_GRID)
         assert code == (EXIT_MISMATCH if mismatches else EXIT_OK)
         assert json.loads(out) == {"checked": 1307, "skipped": 2853, "mismatches": mismatches}
@@ -562,7 +577,7 @@ class TestVerify:
     def test_first_failing_tuple_is_pinned(self, capsys, monkeypatch, workers):
         # The oracle walks each chunk in generator order; the report names
         # the first failing cell in grid order.
-        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        _break_frobenius(monkeypatch)
         code, out, err = run_cli(capsys, "verify", *SMALL_GRID, "--workers", workers)
         assert code == EXIT_MISMATCH
         assert out == '{"checked": 1307, "skipped": 2853, "mismatches": 1307}\n'
@@ -577,7 +592,7 @@ class TestVerify:
         cells = [p for p, _ in iter_cells(grid, 20, 1, Counter(), reject=_verify_reject)]
         walk = sorted(cells, key=lambda p: p.generators)
         assert walk != cells
-        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        _break_frobenius(monkeypatch)
         failures, tally = _verify_chunk((grid, 20, 1))
         assert [(c, k, h) for (_, _, c, k, h), _ in failures] == [(p.c, p.k, p.h) for p in cells[:5]]
         assert tally["checked"] == tally["mismatches"] == len(cells)
@@ -649,6 +664,36 @@ class TestVerify:
         assert verify_tuple(p, t, rep) == []
         assert calls == []
 
+    def test_closed_forms_run_once_per_checked_tuple(self, capsys, monkeypatch):
+        # classify's PF set and Frobenius number serve the closed-form group
+        # of a k >= 3 tuple; a k = 2 one computes them in the battery.
+        calls = Counter()
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+        for name, function in (("pf_tilde", pseudofrob.pf_tilde), ("frobenius", frobenius)):
+            for module in (pseudofrob, aag.staircase, aag.classify, aag.verify, aag.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, function))
+        code, out, _ = run_cli(
+            capsys, "verify",
+            "--a-min", "10", "--a-max", "25",
+            "--d-min", "-2", "--d-max", "2",
+            "--c-min", "5", "--c-max", "30",
+            "--k-min", "2", "--k-max", "3",
+            "--h-min", "1", "--h-max", "2",
+            "--workers", "1",
+        )
+        assert code == EXIT_OK
+        checked = json.loads(out)["checked"]
+        assert checked > 1307  # the k = 3 cells of SMALL_GRID, and k = 2 ones
+        assert calls == {"pf_tilde": checked, "frobenius": checked}
+
     def test_worker_counts_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", *self.GRID)
         _, out2, _ = run_cli(capsys, "verify", *self.GRID, "--workers", "3")
@@ -656,7 +701,7 @@ class TestVerify:
 
     def test_inverted_comparator_fails_everything(self, capsys, monkeypatch):
         # A broken closed form must fail every checked tuple.
-        monkeypatch.setattr(aag.verify, "frobenius", _off_by_one_frobenius)
+        _break_frobenius(monkeypatch)
         code, out, err = run_cli(
             capsys, "verify",
             "--a-min", "10", "--a-max", "16",

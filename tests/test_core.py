@@ -183,6 +183,36 @@ def _agrees_with_oracle(p: AagParams) -> bool:
     return is_minimal(p) == oracle.is_minimal_generating(list(p.generators))
 
 
+def _reference_is_minimal(p: AagParams) -> bool:
+    """The per-difference search ``is_minimal`` ran before it settled whole
+    progressions: every distinct positive generator difference is searched
+    on its own, through the Apery function of T or ``_triple_member``."""
+    gens = p.generators
+    if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
+        return False
+    a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
+    if d < 0 and h == 1:
+        a, d = a + k * d, -d
+    arithmetic = [a, *(h * a + i * d for i in range(1, k + 1))]
+    top, bottom = max(a, arithmetic[-1]), min(a, arithmetic[-1])
+    smallest = min(gens)
+    apery = core._arithmetic_apery(a, d, h, k)
+    in_triple = _triple_member(top, bottom, c)
+    smallest_in_a = min(arithmetic)
+    translates = sorted((0, *arithmetic[1:-1]))
+
+    def in_s(x: int) -> bool:
+        by_c = min(x // c, smallest_in_a - 1) + 1
+        if by_c <= k * min(x // top + 1, core._SHORT_SEARCH):
+            return any(y >= apery(y) for y in range(x, x - by_c * c, -c))
+        return any(in_triple(x - g) for g in translates if g <= x)
+
+    differences = {m * abs(d) for m in range(1, k)}
+    differences.update(abs(g - a) for g in arithmetic[1:])
+    differences.update(abs(c - g) for g in arithmetic)
+    return not any(in_s(v) for v in differences if v >= smallest)
+
+
 class TestClosedFormMinimality:
     """``core.is_minimal`` against the oracle's pair criterion."""
 
@@ -300,6 +330,84 @@ class TestMembershipSearches:
         p = _unchecked(*args)
         assert is_minimal(p) and calls
         assert oracle.is_minimal_generating(list(p.generators))
+
+
+def _seeded_battery(seed: int, count: int):
+    """``count`` validated tuples (minimality not checked) in three strata:
+    small a in both presentations, the d < 0 window h*(a // k) < |d|, and a
+    log-uniform in [10^6, 10^12] with c often a near-sum of generators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        stratum = len(out) % 3
+        k = rng.randint(1, 40)
+        normalize = rng.random() < 0.5
+        if stratum == 0:
+            a, h = rng.randint(k + 2, 300), rng.randint(1, 5)
+            d = rng.choice((-1, 1)) * rng.randint(1, 30)
+            c = rng.randint(k + 2, 3000)
+        elif stratum == 1:
+            a, h = rng.randint(k + 2, 200), rng.randint(2, 4)
+            d = -rng.randint(h * (a // k) + 1, h * (a // k) + 40)
+            c = rng.randint(k + 2, 5000)
+        else:
+            a, h = int(10 ** rng.uniform(6, 12)), rng.randint(1, 6)
+            d = rng.choice((-1, 1)) * int(10 ** rng.uniform(0, 6))
+            gens = (a, h * a + d, h * a + k * d)
+            if rng.random() < 0.5:
+                c = rng.randint(1, 3) * rng.choice(gens) + rng.randint(0, 3) * rng.choice(gens)
+                c += rng.randint(-3 * abs(d), 3 * abs(d))
+            else:
+                c = int(10 ** rng.uniform(math.log10(k + 3), 13))
+        try:
+            out.append(_unchecked(a, d, h, k, c, normalize))
+        except AagError:
+            continue
+    return out
+
+
+class TestProgressionSearch:
+    """``is_minimal`` settles whole progressions of differences; the
+    per-difference search it replaced is the reference."""
+
+    def test_agrees_with_the_per_difference_search(self):
+        battery = _seeded_battery(18, 21_000)
+        answers = [is_minimal(p) for p in battery]
+        assert answers == [_reference_is_minimal(p) for p in battery]
+        assert 3_000 < answers.count(False) < 18_000
+        assert sum(p.a >= 10**6 for p in battery) == 7_000
+        window = [p for p in battery if p.d < 0 and p.h * (p.a // p.k) < -p.d]
+        assert len(window) > 5_000
+        assert sum(not p.normalized and p.d < 0 and p.h == 1 for p in battery) > 300
+
+    @pytest.mark.parametrize("a,d,h,c", [(1_000_003, 7, 2, 3_000_017), (10_007, -3, 2, 50_021)])
+    def test_lookups_do_not_grow_with_k(self, a, d, h, c, monkeypatch):
+        lookups = []
+        apery_of = core._arithmetic_apery
+
+        def counted_apery(*args):
+            w = apery_of(*args)
+
+            def counted(r):
+                lookups.append(r)
+                return w(r)
+
+            return counted
+
+        monkeypatch.setattr(core, "_arithmetic_apery", counted_apery)
+        new, reference = [], []
+        for k in (3, 10, 50, 100, 200, 500):
+            p = _unchecked(a, d, h, k, c)
+            lookups.clear()
+            answer = is_minimal(p)
+            new.append(len(lookups))
+            lookups.clear()
+            assert answer == _reference_is_minimal(p)
+            reference.append(len(lookups))
+        # Each difference is below c, so one translate: at most two lookups
+        # for each of the six progressions.
+        assert max(new) <= 12, new
+        assert reference[-1] >= 500 > 12 * reference[0], reference
 
 
 @pytest.fixture
