@@ -631,11 +631,8 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
 
     result = pf_tilde(p, t)
     frob = frobenius(p, t)
-    if result.type == 1:
-        verdict, candidates = VERDICT_SYMMETRIC, SYMMETRIC_FAMILIES
-    elif nari_check(list(result.pf_numbers), frob):
-        verdict, candidates = VERDICT_ALMOST_SYMMETRIC, ALMOST_SYMMETRIC_FAMILIES
-    else:
+    # nari_check raises MalformedPf unless max PF = F, whatever the type.
+    if not nari_check(list(result.pf_numbers), frob):
         return Classification(
             verdict=VERDICT_NEITHER,
             family=None,
@@ -646,6 +643,10 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
             pf=result.pf_numbers,
             case_trace=result.case_trace,
         )
+    if result.type == 1:
+        verdict, candidates = VERDICT_SYMMETRIC, SYMMETRIC_FAMILIES
+    else:
+        verdict, candidates = VERDICT_ALMOST_SYMMETRIC, ALMOST_SYMMETRIC_FAMILIES
 
     raw = _raw_presentation(p)
     hits = match_families(raw, t if raw is p else build_table(raw), candidates)

@@ -19,11 +19,17 @@ for ``pf2``) that is recorded in the result trace, so a computed answer can
 always be traced back to the exact guard that produced it.  A reachable
 configuration that matches no arm raises ``InternalDispatchGap`` -- by
 design that error is never expected to fire.
+
+The values are weighed run by run as integers.  Column i of block ``base``
+weighs ``base*g_k + g_i + z*c`` with ``g_0 = 0``, and ``g_i = ha + i*d``
+steps by ``d``, so a run's values are one arithmetic progression, plus one
+term when the run holds column 0.  ``PfResult`` stores the two runs, each
+with its row, and builds their points only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import AagParams
 from .errors import (
@@ -38,25 +44,44 @@ from .staircase import StandardPoint, require_hypothesis, weight
 
 @dataclass(frozen=True, slots=True)
 class PfResult:
-    """Pseudo-Frobenius points, their integer values, and the dispatch trace.
+    """Pseudo-Frobenius runs, their integer values, and the dispatch trace.
 
-    ``pf1`` holds the plane points ``(y, z)`` of the pseudo-Frobenius
-    monomials on row ``z = p_{mu+1} - 1``; ``pf2`` those on row
-    ``z = p_{mu+1} - p_mu - 1`` (``grobner.plane_monomial(pt.y, pt.z, k)``
-    gives the monomial).  ``pf_numbers`` is the sorted list of
-    ``weight(pt) - a`` over both families, ``type`` its cardinality, and
-    ``frob_point`` the point of maximal weight (its value is the Frobenius
-    number).  ``case_trace`` is the deterministic record of which
-    decision-table clause fired for each family, formatted like
+    ``runs`` holds the two families as column runs ``(first, last, z)``: the
+    plane points ``(y, z)`` with ``first <= y <= last``, none when
+    ``last < first``.  The first run lies on row ``z = p_{mu+1} - 1``, the
+    second on row ``z = p_{mu+1} - p_mu - 1``.  The points are built only
+    when read: ``pf1`` and ``pf2`` are the points of the two runs
+    (``grobner.plane_monomial(pt.y, pt.z, k)`` gives the monomial), and
+    ``frob_point`` is the point of maximal ``weight`` under ``params`` (its
+    value is the Frobenius number).  ``pf_numbers`` is the sorted list of
+    ``weight(pt) - a`` over both families and ``type`` its cardinality.
+    ``case_trace`` is the deterministic record of which decision-table
+    clause fired for each family, formatted like
     ``"PF1: clause 2b; PF2: clause 7i"``.
     """
 
-    pf1: tuple[StandardPoint, ...]
-    pf2: tuple[StandardPoint, ...]
+    runs: tuple[tuple[int, int, int], tuple[int, int, int]]
     pf_numbers: tuple[int, ...]
     type: int
-    frob_point: StandardPoint
     case_trace: str
+    params: AagParams = field(repr=False)
+
+    @property
+    def pf1(self) -> tuple[StandardPoint, ...]:
+        return _run_points(self.runs[0])
+
+    @property
+    def pf2(self) -> tuple[StandardPoint, ...]:
+        return _run_points(self.runs[1])
+
+    @property
+    def frob_point(self) -> StandardPoint:
+        return max((*self.pf1, *self.pf2), key=lambda pt: weight(self.params, pt))
+
+
+def _run_points(run: tuple[int, int, int]) -> tuple[StandardPoint, ...]:
+    first, last, z = run
+    return tuple(StandardPoint(y, z) for y in range(first, last + 1))
 
 
 _EMPTY = (1, 0, 0)  # a column run with hi < lo: no member
@@ -136,7 +161,8 @@ def _pf2_dispatch(p: AagParams, t: EuclidTable) -> tuple[tuple[int, int, int], s
 
 
 def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
-    """Compute both pseudo-Frobenius point families from the pivot data.
+    """Compute both pseudo-Frobenius families, as column runs, and their
+    values from the pivot data.
 
     Requires ``k >= 2`` and the standing hypothesis (``r'_mu >= h`` or
     ``rho_mu = 0``); outside the hypothesis the closed-form families are not
@@ -150,20 +176,31 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
 
     run1, clause1 = _pf1_dispatch(p, t)
     run2, clause2 = _pf2_dispatch(p, t)
+    k, d, gens = p.k, p.d, p.generators
     rows = (t.after_pivot.p - 1, t.after_pivot.p - t.pivot.p - 1)
-    pf1, pf2 = (
-        [StandardPoint(p.k * base + i, z) for i in range(lo, hi + 1)]
-        for (lo, hi, base), z in zip((run1, run2), rows)
-    )
-    if not pf1 and not pf2:
+    runs, values = [], []
+    for (lo, hi, base), z in zip((run1, run2), rows):
+        first = k * base + lo
+        runs.append((first, first + hi - lo, z))
+        if hi < lo:
+            continue
+        if first < 0 or z < 0:
+            raise NonsenseInput(f"plane point ({first}, {z}) has a negative part")
+        # Column i weighs base*g_k + g_i + z*c with g_0 = 0: the term of
+        # column 0, then g_i = ha + i*d stepping by d up to column hi <= k.
+        off = base * gens[k] + z * p.c - p.a
+        if lo == 0:
+            values.append(off)
+        step_lo = max(lo, 1)
+        if step_lo <= hi:
+            values.extend(range(off + gens[step_lo], off + gens[hi] + d, d))
+    if not values:
         raise MalformedPf(
             "both pseudo-Frobenius families came out empty "
             f"(clauses {clause1}/{clause2}); the type is always >= 1"
         )
 
-    points = (*pf1, *pf2)
-    weights = [weight(p, pt) for pt in points]
-    values = sorted(w - p.a for w in weights)
+    values.sort()
     if len(set(values)) != len(values):
         # The weight map is injective on the pseudo-Frobenius points, so a
         # duplicate value can only mean a dispatch bug.
@@ -171,12 +208,10 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
             f"pseudo-Frobenius values collide: {values} for a={p.a}, d={p.d}, "
             f"h={p.h}, k={p.k}, c={p.c}"
         )
-    trace = f"PF1: clause {clause1}; PF2: clause {clause2}"
     return PfResult(
-        pf1=tuple(pf1),
-        pf2=tuple(pf2),
+        runs=tuple(runs),
         pf_numbers=tuple(values),
         type=len(values),
-        frob_point=points[weights.index(max(weights))],
-        case_trace=trace,
+        case_trace=f"PF1: clause {clause1}; PF2: clause {clause2}",
+        params=p,
     )

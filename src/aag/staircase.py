@@ -23,7 +23,8 @@ and peaks at its last column hi − 1.  For d < 0 it peaks in each block at
 i = 1, those peaks rise with α, and between peaks it falls: the maximum is
 the last column y ≡ 1 (mod k) in range or, when there is none, the first
 column lo.  The candidates {lo, hi − 1, last y ≡ 1} cover both signs, so
-``frobenius`` evaluates at most six weights whatever s_μ is.
+``frobenius`` weighs at most six columns whatever s_μ is, each as the
+integer α·g_k + g_i + z·c from the block weights, without building a point.
 """
 
 from __future__ import annotations
@@ -100,18 +101,23 @@ def apery_set(params: AagParams, table: EuclidTable) -> AperySet:
     return AperySet(points=points)
 
 
+def _column_weight(params: AagParams, y: int) -> int:
+    """α·g_k + g_i with y = αk + i and g_0 = 0: the weight of (y, 0)."""
+    alpha, i = divmod(y, params.k)
+    gens = params.generators
+    return alpha * gens[params.k] + (gens[i] if i else 0)
+
+
 def weight(params: AagParams, pt: StandardPoint) -> int:
     """φ(M(y, z)) = α·g_k + g_i + z·c with y = αk + i and g_0 = 0."""
-    alpha, i = divmod(pt.y, params.k)
-    gens = params.generators
-    return alpha * gens[params.k] + (gens[i] if i else 0) + pt.z * params.c
+    return _column_weight(params, pt.y) + pt.z * params.c
 
 
 def _top_row_max(params: AagParams, lo: int, hi: int, z: int) -> int:
     """Largest weight on row z over the columns lo <= y < hi (lo < hi)."""
     last_unit = hi - 1 - (hi - 2) % params.k  # last y < hi with y ≡ 1 (mod k)
-    columns = {lo, hi - 1, last_unit} if last_unit >= lo else {lo, hi - 1}
-    return max(weight(params, StandardPoint(y, z)) for y in columns)
+    columns = (lo, hi - 1, last_unit) if last_unit >= lo else (lo, hi - 1)
+    return max(_column_weight(params, y) for y in columns) + z * params.c
 
 
 def frobenius(params: AagParams, table: EuclidTable) -> int:
@@ -129,9 +135,9 @@ def apery_values(params: AagParams, table: EuclidTable) -> list[int]:
     """φ of every Apery point (rectangle order, not sorted)."""
     require_hypothesis(table)
     k, c = params.k, params.c
-    # weight is affine in α, w(αk + i) = α·w(k) + w(i), so the k + 1 weights
-    # of the first block give every column without building a point each.
-    block = [weight(params, StandardPoint(i, 0)) for i in range(k + 1)]
+    # weight is affine in α, w(αk + i) = α·g_k + g_i, so the k + 1 block
+    # weights g_0 = 0, g_1, ..., g_k give every column without a point each.
+    block = (0, *params.generators[1 : k + 1])
     out: list[int] = []
     for lo, hi, height in rectangles(table):
         for y in range(lo, hi):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -57,6 +60,36 @@ def hypothesis_violator():
                         if not t.hypothesis_ok:
                             return p, t
     raise AssertionError("no hypothesis-violating tuple in the search box")
+
+
+@pytest.fixture(scope="session")
+def staircase_battery():
+    """20,000 seeded (params, table) pairs that satisfy the staircase
+    hypothesis: k from 2 to 40, a log-uniform up to 10^12, |d| log-uniform
+    below the bound that keeps the generators positive, c log-uniform in
+    [k + 3, 40a + 10], half of them h = 1 with d < 0, each kept raw or
+    rewritten at random."""
+    from aag.euclid import build_table
+
+    rng = random.Random(19)
+    out = []
+    while len(out) < 20_000:
+        k = rng.randint(2, 40)
+        a = int(10 ** rng.uniform(math.log10(k + 2), 12))
+        if len(out) % 2:
+            h, d = 1, -int(10 ** rng.uniform(0, math.log10(max(2, a / k))))
+        else:
+            h = rng.randint(1, 6)
+            d = rng.choice((-1, 1)) * int(10 ** rng.uniform(0, math.log10(max(2, h * a / k))))
+        c = int(10 ** rng.uniform(math.log10(k + 3), math.log10(40 * a + 10)))
+        try:
+            p = validate_params(a, d, h, k, c, normalize=rng.random() < 0.5)
+        except AagError:
+            continue
+        t = build_table(p)
+        if t.hypothesis_ok:
+            out.append((p, t))
+    return out
 
 
 @st.composite

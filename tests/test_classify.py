@@ -1,5 +1,6 @@
 """Tests for the symmetric / almost-symmetric classification routes."""
 
+import dataclasses
 import json
 import tracemalloc
 from importlib.resources import files
@@ -307,6 +308,20 @@ class TestSymmetricWitness:
 
     def test_fast_path_silent_on_symmetric(self):
         assert fast_path(validate_params(15, 7, 1, 3, 10)) is None
+
+    def test_single_pf_value_off_frobenius_is_malformed(self, monkeypatch):
+        # A one-value dispatch bug must not pass as Symmetric: its PF set
+        # has to end at F as on every other closed-form verdict.
+        p = validate_params(15, 7, 1, 3, 10)
+        real = classify_module.pf_tilde(p, build_table(p))
+        assert real.pf_numbers == (63,)
+
+        def off_by_one(params, table):
+            return dataclasses.replace(real, pf_numbers=(62,))
+
+        monkeypatch.setattr(classify_module, "pf_tilde", off_by_one)
+        with pytest.raises(MalformedPf):
+            classify(p)
 
 
 class TestBoundaryMembers:

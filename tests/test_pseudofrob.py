@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, settings
 
-from aag import oracle
+from aag import oracle, pseudofrob, staircase
 from aag.core import Monomial, phi, validate_params
 from aag.errors import HypothesisViolated, NonsenseInput
 from aag.euclid import build_table
-from aag.pseudofrob import PfResult, pf_tilde
+from aag.pseudofrob import PfResult, _pf1_dispatch, _pf2_dispatch, pf_tilde
 from aag.grobner import plane_monomial
-from aag.staircase import apery_set, frobenius
+from aag.staircase import StandardPoint, apery_set, frobenius, weight
 
 from conftest import monomial, valid_params
 
@@ -34,6 +34,29 @@ CLAUSE_WITNESSES = [
     (8, -1, 2, 3, 11, "PF1: clause 2a; PF2: clause 7i", [17, 18, 20]),
     (13, 2, 2, 4, 40, "PF1: clause 2d; PF2: clause 7ii", [51, 89]),
 ]
+
+
+def _reference_pf_tilde(p, t):
+    """The families as ``pf_tilde`` weighed them point by point: a
+    ``StandardPoint`` and a ``weight`` call for each point of both runs."""
+    run1, clause1 = _pf1_dispatch(p, t)
+    run2, clause2 = _pf2_dispatch(p, t)
+    rows = (t.after_pivot.p - 1, t.after_pivot.p - t.pivot.p - 1)
+    pf1, pf2 = (
+        [StandardPoint(p.k * base + i, z) for i in range(lo, hi + 1)]
+        for (lo, hi, base), z in zip((run1, run2), rows)
+    )
+    points = (*pf1, *pf2)
+    weights = [weight(p, pt) for pt in points]
+    values = sorted(w - p.a for w in weights)
+    return (
+        tuple(pf1),
+        tuple(pf2),
+        tuple(values),
+        len(values),
+        points[weights.index(max(weights))],
+        f"PF1: clause {clause1}; PF2: clause {clause2}",
+    )
 
 
 def _check_against_oracle(p):
@@ -153,6 +176,46 @@ class TestStructuralInvariants:
         assert isinstance(first, PfResult)
 
 
+class TestArithmeticWeights:
+    """``pf_tilde`` weighs each run as an integer progression; the per-point
+    weighing it replaced is the reference."""
+
+    def test_matches_the_per_point_reference(self, staircase_battery):
+        for p, t in staircase_battery:
+            r = pf_tilde(p, t)
+            got = (r.pf1, r.pf2, r.pf_numbers, r.type, r.frob_point, r.case_trace)
+            assert got == _reference_pf_tilde(p, t), p
+
+    def test_builds_no_point_and_calls_no_weight(self, ex1, monkeypatch):
+        cases = [ex1] + [
+            validate_params(a, d, h, k, c, normalize=False)
+            for a, d, h, k, c, _, _ in CLAUSE_WITNESSES
+        ]
+        tables = [build_table(p) for p in cases]
+        built, weighed = [], []
+        new = StandardPoint.__new__
+
+        def counting_new(cls, y, z):
+            built.append((y, z))
+            return new(cls, y, z)
+
+        def counting_weight(params, pt):
+            weighed.append(pt)
+            return weight(params, pt)
+
+        monkeypatch.setattr(StandardPoint, "__new__", counting_new)
+        monkeypatch.setattr(staircase, "weight", counting_weight)
+        monkeypatch.setattr(pseudofrob, "weight", counting_weight)
+        results = [(pf_tilde(p, t), frobenius(p, t)) for p, t in zip(cases, tables)]
+        assert built == [] and weighed == []
+        # The points are built when read, and frob_point weighs them.
+        for r, frob in results:
+            assert r.pf_numbers[-1] == frob
+            assert len(r.pf1) + len(r.pf2) == r.type
+            r.frob_point
+        assert built and weighed
+
+
 class TestRandomAgreement:
     @settings(max_examples=250, deadline=None)
     @given(p=valid_params())
@@ -176,3 +239,14 @@ class TestGuards:
         t = build_table(p)
         with pytest.raises(NonsenseInput):
             pf_tilde(p, t)
+
+    @pytest.mark.parametrize("run", [(0, 1, -1), (-1, 0, 0)])
+    def test_negative_run_rejected(self, ex1, monkeypatch, run):
+        # The dispatch never yields k*base + lo < 0; a run that did would
+        # name a point off the plane, refused as StandardPoint refuses it.
+        t = build_table(ex1)
+        monkeypatch.setattr(pseudofrob, "_pf1_dispatch", lambda p, t: (run, "1x"))
+        lo, hi, base = run
+        message = rf"^plane point \({20 * base + lo}, {t.after_pivot.p - 1}\) has a negative part$"
+        with pytest.raises(NonsenseInput, match=message):
+            pf_tilde(ex1, t)

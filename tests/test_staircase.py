@@ -19,6 +19,7 @@ from aag.staircase import (
     apery_values,
     frobenius,
     iter_apery_points,
+    rectangles,
     weight,
 )
 
@@ -128,6 +129,14 @@ class TestOracleEquivalence:
         _assert_matches_oracle(params)
 
 
+def _reference_top_row_max(params, lo, hi, z):
+    """The candidate columns as ``_top_row_max`` weighed them point by
+    point: a ``StandardPoint`` and a ``weight`` call for each column."""
+    last_unit = hi - 1 - (hi - 2) % params.k
+    columns = {lo, hi - 1, last_unit} if last_unit >= lo else {lo, hi - 1}
+    return max(weight(params, StandardPoint(y, z)) for y in columns)
+
+
 class TestCandidateColumns:
     @given(
         st.integers(1, 10**6),
@@ -147,16 +156,28 @@ class TestCandidateColumns:
         scan = max(weight(params, StandardPoint(y, z)) for y in range(lo, hi))
         assert _top_row_max(params, lo, hi, z) == scan
 
+    def test_frobenius_matches_the_per_point_reference(self, staircase_battery):
+        for params, t in staircase_battery:
+            reference = max(
+                _reference_top_row_max(params, lo, hi, height - 1)
+                for lo, hi, height in rectangles(t)
+                if lo < hi
+            )
+            frob = frobenius(params, t)
+            assert frob == reference - params.a, params
+            assert frob == pf_tilde(params, t).pf_numbers[-1], params
+
     def test_frobenius_weighs_at_most_six_columns(self, monkeypatch):
         params = validate_params(997, 1, 1, 20, 1993)
         t = build_table(params)
         weighed = []
+        column_weight = staircase._column_weight
 
-        def counting_weight(p, pt):
-            weighed.append(pt)
-            return weight(p, pt)
+        def counting_column_weight(p, y):
+            weighed.append(y)
+            return column_weight(p, y)
 
-        monkeypatch.setattr(staircase, "weight", counting_weight)
+        monkeypatch.setattr(staircase, "_column_weight", counting_column_weight)
         assert frobenius(params, t) == 48828
         assert 0 < len(weighed) <= 6 < t.pivot.s
 

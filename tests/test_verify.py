@@ -6,8 +6,10 @@ because ``verify.euclid_violations`` implies it.  These tests corrupt the
 rows of seeded tables, in the raw and in the rewritten d < 0, h = 1
 presentation, and check that every corruption the kernel checks would flag
 is flagged by ``euclid_violations``, and that every moved quotient or
-index is flagged even where the kernel checks see nothing.  A last test
-pins the pair that the ``r~ < 2`` check reads.
+index is flagged even where the kernel checks see nothing.  Another test
+pins the pair that the ``r~ < 2`` check reads, and the last one corrupts the
+closed-form Apery values that ``closed_form_violations`` compares with the
+oracle's one value per residue.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from collections import Counter
 
 import pytest
 
+from aag import oracle, verify
 from aag.core import validate_params
 from aag.errors import AagError
 from aag.euclid import EuclidRow, EuclidTable, build_table, tilde_for_pair
 from aag.grobner import kernel_check, row_binomials, tilde_binomials
-from aag.verify import euclid_violations
+from aag.staircase import apery_values
+from aag.verify import closed_form_violations, euclid_violations
 
 #: Row fields that carry integers; ``q`` is None on rows 0 and 1.
 FIELDS = ("index", "s", "p", "r", "q", "sigma", "rho", "ell", "r_prime")
@@ -157,3 +161,33 @@ def test_small_r_tilde_is_caught_on_its_own_pair():
                 assert fired == expected, ((p.a, p.d, p.h, p.k, p.c), i, target)
             seen += 1
     assert seen > 500
+
+
+def _apery_corruptions(values: list[int], a: int, rng: random.Random):
+    """A value dropped, a value moved by a (same residue), and one residue
+    duplicated while another is dropped (every value still an Apery one)."""
+    i, j = rng.sample(range(len(values)), 2)
+    dropped = values[:i] + values[i + 1 :]
+    shifted = values.copy()
+    shifted[i] += a
+    duplicated = values.copy()
+    duplicated[j] = values[i]
+    return {"drop": dropped, "shift": shifted, "duplicate": duplicated}
+
+
+def test_every_apery_corruption_is_caught(monkeypatch):
+    rng = random.Random(19)
+    caught = Counter()
+    for p, t in TABLES:
+        if not t.hypothesis_ok or p.a < 2:
+            continue
+        rep = oracle.oracle_report(list(p.generators), p.a)
+        values = apery_values(p, t)
+        assert closed_form_violations(p, t, rep) == []
+        for kind, corrupt in _apery_corruptions(values, p.a, rng).items():
+            monkeypatch.setattr(verify, "apery_values", lambda params, table: corrupt)
+            found = closed_form_violations(p, t, rep)
+            assert [m for m in found if m.startswith("apery mismatch")], (kind, p)
+            caught[kind] += 1
+        monkeypatch.undo()
+    assert min(caught.values()) > 40 and len(caught) == 3
