@@ -34,9 +34,9 @@ arithmetic progression in (s, p, r), and a table has O(log a) such runs
 (see ``_runs``), so ``build_table`` finds the pivot by bisecting r'
 inside the run where it changes sign: the pivot data (μ, the rows μ and
 μ + 1, the tilde fields, the hypothesis) cost O(log a) steps whatever the
-table's length.  ``EuclidTable.rows`` expands the same runs into every
-row the first time it is read and keeps them: Θ(a) time and memory on a
-long table, and the one part that the size cap AAG_MAX_A limits.
+table's length.  ``EuclidTable.runs`` keeps the runs; ``rows``, a view
+over them, expands every row on first read: Θ(a) time and memory on a long
+table, and the one part that the size cap AAG_MAX_A limits.
 """
 
 from __future__ import annotations
@@ -103,8 +103,13 @@ class EuclidTable:
     hypothesis_ok: bool
 
     @cached_property
+    def runs(self) -> tuple[_Run, ...]:
+        """The table as its O(log a) runs (``_runs``), built on first read and kept."""
+        return tuple(_runs(self.params.a, self.params.d, *_second_row(self.params)))
+
+    @cached_property
     def rows(self) -> tuple[EuclidRow, ...]:
-        """All rows 0..m+1 (s_{m+1} = 0), built on first read and kept.
+        """All rows 0..m+1 (s_{m+1} = 0), a view over ``runs`` built on first read and kept.
 
         Θ(a) time and memory on a long table, so more than AAG_MAX_A + 1
         rows (``oracle.max_modulus``), counted from the runs, raise
@@ -112,7 +117,7 @@ class EuclidTable:
         """
         params = self.params
         a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
-        runs = list(_runs(a, d, *_second_row(params)))
+        runs = self.runs
         total, cap = sum(run.count for run in runs), max_modulus()
         if total > cap + 1:
             raise NonsenseInput(
@@ -145,7 +150,7 @@ def decompose(s: int, k: int) -> tuple[int, int, int]:
 def _make_row(index: int, s: int, p: int, r: int, q: int | None, k: int, h: int) -> EuclidRow:
     # ``decompose`` inlined: k >= 1 is validated and the recurrence keeps
     # s >= 0, so its checks cannot fire here; verify.euclid_violations
-    # compares every row it reads with ``decompose``.
+    # checks the stored pivot rows with ``decompose``.
     sigma, rho = divmod(s, k)
     ell = 1 if rho else 0
     return EuclidRow(index, s, p, r, q, sigma, rho, ell, r + h * (sigma + ell))

@@ -37,15 +37,19 @@ never increasing), the standard plane monomials are the staircase exactly
 when no lead has ζ < E(y0) and a lead divides each outer corner: the
 first column of each residue on each piece [0, Δs), [Δs, s_μ), [s_μ, ∞),
 at that piece's height, since divisibility passes from M(y, z) to
-M(y + k, z) = x_k M(y, z).  At most 3k corners against O(k) plane leads:
-the certificate costs O(k³) whatever a is, the k(k−1)/2 A binomials of
-k + 2 exponents each dominating.
+M(y + k, z) = x_k M(y, z).  The default basis is weighed as integers: A,
+which depends on (k, h) alone, once per pair on (coefficient of a,
+coefficient of d) weights x0 ↦ (1, 0), x_i ↦ (h, i); each side
+x0^e M(αk + i, z) of B, C, D as e·a + α·g_k + g_i + z·c, its exponent vector
+ranked as (e, u(i), α, z) with u(0) = 0, u(i) = k − i.  So the certificate
+costs O(k²) once per (k, h) and O(k log k) per table, whatever a is.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import AagParams, Monomial, phi
 from .errors import NonsenseInput
@@ -100,56 +104,64 @@ def family_A(params: AagParams) -> list[Binomial]:
     return list(_family_A(params.k, params.h))
 
 
+def _a_terms(k: int, h: int) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, e, y) of each A binomial x_i x_j - x0^e M(y, 0)."""
+    return ((i, j, h if i + j <= k else 0, i + j) for i in range(1, k) for j in range(i, k))
+
+
 @functools.lru_cache(maxsize=32)
 def _family_A(k: int, h: int) -> tuple[Binomial, ...]:
     # The A binomials depend on (k, h) alone, and a grid walk meets few
     # distinct pairs; the values are frozen, so callers may share them.
     out = []
-    for i in range(1, k):
-        for j in range(i, k):
-            exps = [0] * (k + 2)
-            exps[i] += 1
-            exps[j] += 1
-            tail = plane_monomial(i + j, 0, k, h if i + j <= k else 0)
-            out.append(Binomial(Monomial(tuple(exps)), tail, "A"))
+    for i, j, e, y in _a_terms(k, h):
+        exps = [0] * (k + 2)
+        exps[i] += 1
+        exps[j] += 1
+        out.append(Binomial(Monomial(tuple(exps)), plane_monomial(y, 0, k, e), "A"))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=256)
+def _family_A_holds(k: int, h: int) -> bool:
+    """Is every A binomial in the kernel and led by x_i x_j, at any a and d?  x_i x_j
+    weighs (2h, i + j), x0^e M(αk + v, 0) weighs (e + h(α + [v > 0]), αk + v), and
+    x_i x_j leads when (0, u(i)) < (e, u(v)); on a tie it has a second unit."""
+    for i, j, e, y in _a_terms(k, h):
+        alpha, v = divmod(y, k)
+        if (e + h * (alpha + (v > 0)), y) != (2 * h, i + j) or (0, k - i) >= (e, v and k - v):
+            return False
+    return True
+
+
+def _plane_terms(params: AagParams, table: EuclidTable) -> list[tuple[str, tuple, tuple]]:
+    """B, C, D as (family, lead, tail), each side a plane term (e, y, z) = x0^e M(y, z)."""
+    require_hypothesis(table)
+    k, h = params.k, params.h
+    piv, nxt = table.pivot, table.after_pivot
+    out = [("B", (0, piv.s, 0), (piv.r_prime, 0, piv.p))]
+    if piv.rho > 0:
+        out += [
+            ("B", (0, piv.s + j, 0), (piv.r_prime - h, j, piv.p)) for j in range(1, k - piv.rho + 1)
+        ]
+    if nxt.s > 0:
+        ds, dp, r_tilde = piv.s - nxt.s, nxt.p - piv.p, table.tilde_r
+        out.append(("C", (0, ds, dp), (r_tilde, 0, 0)))
+        if table.tilde_rho > 0:
+            out += [
+                ("C", (0, ds + j, dp), (r_tilde - h, j, 0))
+                for j in range(1, k - table.tilde_rho + 1)
+            ]
+    out.append(("D", (0, 0, nxt.p), (-nxt.r_prime, nxt.s, 0)))
+    return out
 
 
 def families_BCD(params: AagParams, table: EuclidTable) -> list[Binomial]:
     """The table-derived families B, C, D as one tagged list."""
-    require_hypothesis(table)
-    k, h = params.k, params.h
-    piv, nxt = table.pivot, table.after_pivot
-    out = [
-        Binomial(plane_monomial(piv.s, 0, k), plane_monomial(0, piv.p, k, piv.r_prime), "B")
+    return [
+        Binomial(plane_monomial(y, z, params.k, e), plane_monomial(v, w, params.k, f), family)
+        for family, (e, y, z), (f, v, w) in _plane_terms(params, table)
     ]
-    if piv.rho > 0:
-        out += [
-            Binomial(
-                plane_monomial(piv.s + j, 0, k),
-                plane_monomial(j, piv.p, k, piv.r_prime - h),
-                "B",
-            )
-            for j in range(1, k - piv.rho + 1)
-        ]
-
-    if nxt.s > 0:
-        ds, dp, r_tilde = piv.s - nxt.s, nxt.p - piv.p, table.tilde_r
-        out.append(Binomial(plane_monomial(ds, dp, k), plane_monomial(0, 0, k, r_tilde), "C"))
-        if table.tilde_rho > 0:
-            out += [
-                Binomial(
-                    plane_monomial(ds + j, dp, k),
-                    plane_monomial(j, 0, k, r_tilde - h),
-                    "C",
-                )
-                for j in range(1, k - table.tilde_rho + 1)
-            ]
-
-    out.append(
-        Binomial(plane_monomial(0, nxt.p, k), plane_monomial(nxt.s, 0, k, -nxt.r_prime), "D")
-    )
-    return out
 
 
 def row_binomials(table: EuclidTable, params: AagParams) -> list[Binomial]:
@@ -202,6 +214,21 @@ def _standard_is_staircase(leads: list[StandardPoint], table: EuclidTable, k: in
     return True
 
 
+def _plane_leads(params: AagParams, table: EuclidTable) -> list[tuple[int, int]] | None:
+    """The plane leads (y, z) of B, C, D, or None when a check fails.  Each side is
+    weighed first, so a negative part always raises, as its ``Monomial`` would."""
+    k, a, c = params.k, params.a, params.c
+    block, terms, keys = (0, *params.generators[1 : k + 1]), _plane_terms(params, table), []
+    for e, y, z in (side for _, lead, tail in terms for side in (lead, tail)):
+        if min(e, y, z) < 0:
+            raise NonsenseInput(f"plane term x0^{e} M({y}, {z}) has a negative part")
+        alpha, i = divmod(y, k)
+        keys.append((e * a + alpha * block[k] + block[i] + z * c, e, i and k - i, alpha, z))
+    if any(big[0] != small[0] or big[1:] >= small[1:] for big, small in zip(keys[::2], keys[1::2])):
+        return None
+    return [lead[1:] for _, lead, _ in terms if not lead[0]]
+
+
 def certify_basis(
     params: AagParams,
     table: EuclidTable,
@@ -212,35 +239,38 @@ def certify_basis(
     Returns True iff every element kernel-checks with the constructed
     monomial as its true leading term, every x_i x_j (1 <= i <= j <= k-1)
     is a lead, the standard plane monomials are the staircase (checked at
-    its outer corners) and its two rectangles hold a points: O(k³) at any a.
-    ``basis`` overrides the generating set, which lets tests confirm that
-    corrupted sets fail.
+    its outer corners) and its two rectangles hold a points.  The default
+    basis is checked on integers, building no ``Monomial``.  ``basis``
+    overrides the generating set and checks each element as a ``Monomial``
+    pair, which lets tests confirm that corrupted sets fail.
     """
     require_hypothesis(table)
     k = params.k
     if basis is None:
-        basis = family_A(params) + families_BCD(params, table)
-    for b in basis:
-        if not kernel_check(b, params):
+        leads = _plane_leads(params, table) if _family_A_holds(k, params.h) else None
+        if leads is None:
             return False
-        # With φ(lead) = φ(tail), ``order_key`` ranks lead above tail exactly
-        # when lead's exponent tuple is the lexicographically smaller one.
-        if b.lead.exponents >= b.tail.exponents:
+    else:
+        for b in basis:
+            if not kernel_check(b, params):
+                return False
+            # With φ(lead) = φ(tail), ``order_key`` ranks lead above tail exactly
+            # when lead's exponent tuple is the lexicographically smaller one.
+            if b.lead.exponents >= b.tail.exponents:
+                return False
+        leads, unit_pairs = [], set()
+        for b in basis:
+            exps = b.lead.exponents
+            units = exps[1:k]
+            if sum(units) >= 2:  # two unit factors: divides no plane monomial
+                if sum(exps) == 2:
+                    unit_pairs.add(exps)  # x_i x_j, an A lead
+                continue
+            if exps[0]:
+                continue  # has x0: divides no plane monomial
+            i = units.index(1) + 1 if 1 in units else 0
+            leads.append(StandardPoint(k * exps[k] + i, exps[k + 1]))
+        if len(unit_pairs) != k * (k - 1) // 2:
             return False
-
-    leads, unit_pairs = [], set()
-    for b in basis:
-        exps = b.lead.exponents
-        units = exps[1:k]
-        if sum(units) >= 2:  # two unit factors: divides no plane monomial
-            if sum(exps) == 2:
-                unit_pairs.add(exps)  # x_i x_j, an A lead
-            continue
-        if exps[0]:
-            continue  # has x0: divides no plane monomial
-        i = units.index(1) + 1 if 1 in units else 0
-        leads.append(StandardPoint(k * exps[k] + i, exps[k + 1]))
-    if len(unit_pairs) != k * (k - 1) // 2:
-        return False
     area = sum((hi - lo) * top for lo, hi, top in rectangles(table))
     return _standard_is_staircase(leads, table, k) and area == params.a

@@ -7,13 +7,12 @@ messages (empty means the tuple passed):
   Frobenius number from the closed forms, and the closed-form minimality
   check that admitted the tuple, against the brute-force oracle.
 * ``euclid_violations``      -- structural invariants of the Euclidean
-  table: each row's index against its position, the row equation, the
-  canonical decomposition of s and r', the quotient recurrence
-  s_{i-1} = q_{i+1} s_i - s_{i+1} (q >= 2, none on rows 0 and 1), the
-  three determinant identities, s/p/r' monotonicity (and r when d > 0),
-  pivot bracketing, the stored pivot rows against the rows μ and μ + 1,
-  and the consecutive-pair tilde relation with its case split at the
-  pivot.
+  table, checked run by run and never on its rows: indices, the row
+  equation, the quotient recurrence s_{i-1} = q_{i+1} s_i - s_{i+1} (q >= 2,
+  none on rows 0 and 1), the three determinant identities, r~ >= 2, s/p/r'
+  monotonicity (and r when d > 0), the end at s = 0, pivot bracketing, the
+  stored pivot rows against their runs and ``decompose``, and the pivot
+  tilde relation with its case split.
 * ``grobner_violations``     -- the generating-set certification.
 * ``agreement_violations``   -- the quadratic fast path against the full
   classification route: an almost-symmetric verdict with a family must be
@@ -25,8 +24,8 @@ verify`` walks the raw one, as ``aag scan`` does; the acceptance tests
 also check the rewritten d < 0, h = 1 one).  The battery only applies to
 tuples whose table satisfies the staircase hypothesis (callers skip the
 rest).  It checks each fact once: φ(M(s, 0)) = ha⌈s/k⌉ + sd and
-φ(M(0, p)) = pc, so the row equation, r' = r + h(σ + l) and
-(σ, ρ, l) = decompose(s, k) put every row binomial of
+φ(M(0, p)) = pc, so the row equation and the decomposition that
+``EuclidTable.rows`` gives each row put every row binomial of
 ``grobner.row_binomials`` in the kernel, and the row equations of two
 rows put their ``grobner.tilde_binomials`` pair binomial there too.
 
@@ -45,7 +44,7 @@ from . import oracle
 from .classify import VERDICT_ALMOST_SYMMETRIC, Classification, classify, fast_path
 from .core import AagParams
 from .errors import AmbiguousFastPath
-from .euclid import EuclidTable, decompose, tilde_for_pair
+from .euclid import EuclidTable, _row_at, decompose, tilde_for_pair
 from .grobner import certify_basis
 from .pseudofrob import pf_tilde
 from .staircase import apery_values, frobenius
@@ -97,61 +96,87 @@ def closed_form_violations(
     return out
 
 
-def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
-    """Structural invariants of the (already built) Euclidean table."""
-    out = []
-    a, d, c, h, k = p.a, p.d, p.c, p.h, p.k
-    rows = t.rows
-    for i, row in enumerate(rows):
-        if row.index != i:
-            out.append(f"row {i}: index {row.index} != position {i}")
-        if row.s * d - row.p * c != row.r * a:
-            out.append(f"row {row.index}: s*d - p*c != r*a")
-        if (row.sigma, row.rho, row.ell) != decompose(row.s, k):
-            out.append(f"row {row.index}: s decomposition broken")
-        if row.r_prime != row.r + h * (row.sigma + row.ell):
-            out.append(f"row {row.index}: r' != r + h(sigma+ell)")
-    for lo, hi in zip(rows, rows[1:]):
-        if lo.s * hi.p - hi.s * lo.p != a:
-            out.append(f"rows {lo.index},{hi.index}: determinant a identity broken")
-        if hi.s * lo.r - lo.s * hi.r != c:
-            out.append(f"rows {lo.index},{hi.index}: determinant c identity broken")
-        if hi.p * lo.r - lo.p * hi.r != d:
-            out.append(f"rows {lo.index},{hi.index}: determinant d identity broken")
-        if hi.q is not None and hi.q < 2:
-            out.append(f"row {hi.index}: quotient {hi.q} < 2")
-        if tilde_for_pair(lo, hi, k, h)[3] < 2:
-            out.append(f"rows {lo.index},{hi.index}: r~ < 2")
-    if rows[0].q is not None or rows[1].q is not None:
-        out.append("rows 0,1 carry a quotient")
-    for lo, mid, hi in zip(rows, rows[1:], rows[2:]):
-        if hi.q is None or lo.s != hi.q * mid.s - hi.s:
-            out.append(f"row {hi.index}: s_(i-1) != q_(i+1) s_i - s_(i+1)")
-    s_seq = [row.s for row in rows]
-    p_seq = [row.p for row in rows]
-    rp_seq = [row.r_prime for row in rows]
-    if not all(x > y for x, y in zip(s_seq, s_seq[1:])):
+def _pair_violations(i: int, j: int, lo: tuple, hi: tuple, p: AagParams) -> list[str]:
+    """Determinants, r~ >= 2 and the s, p, r' (r if d > 0) steps of rows i, j = (s, p, r)."""
+    (s0, p0, r0), (s1, p1, r1) = lo, hi
+    h, k, out = p.h, p.k, []
+    if s0 * p1 - s1 * p0 != p.a:
+        out.append(f"rows {i},{j}: determinant a identity broken")
+    if s1 * r0 - s0 * r1 != p.c:
+        out.append(f"rows {i},{j}: determinant c identity broken")
+    if p1 * r0 - p0 * r1 != p.d:
+        out.append(f"rows {i},{j}: determinant d identity broken")
+    if r0 - r1 - h * ((s1 - s0) // k) < 2:  # r~ = r0 - r1 + h⌈(s0 - s1)/k⌉
+        out.append(f"rows {i},{j}: r~ < 2")
+    if s0 <= s1:
         out.append("s not strictly decreasing")
-    if not all(x < y for x, y in zip(p_seq, p_seq[1:])):
+    if p0 >= p1:
         out.append("p not strictly increasing")
-    if not all(x > y for x, y in zip(rp_seq, rp_seq[1:])):
+    if r0 - h * (-s0 // k) <= r1 - h * (-s1 // k):
         out.append("r' not strictly decreasing")
-    if d > 0:
-        r_seq = [row.r for row in rows]
-        if not all(x > y for x, y in zip(r_seq, r_seq[1:])):
-            out.append("r not strictly decreasing although d > 0")
-    if not (rows[0].r_prime > 0 and rows[-1].r_prime < 0):
+    if p.d > 0 and r0 <= r1:
+        out.append("r not strictly decreasing although d > 0")
+    return out
+
+
+def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
+    """Structural invariants of the (already built) Euclidean table, run by run.
+
+    Row j of a run is (s, p, r) + j·(ds, dp, dr) with quotient 2 for j >= 1,
+    so the key equation holds on the run when it holds at j = 0 and for the
+    step, the pair checks are constant on it (the j² terms cancel) and the
+    quotient recurrence holds from its third row on.  r' moves by
+    dr + h(⌈(s + ds)/k⌉ − ⌈s/k⌉), which repeats once s mod k does: at most k
+    steps settle it.  So each run costs O(k) and ``t.rows`` is never read.
+    """
+    a, d, c, h, k = p.a, p.d, p.c, p.h, p.k
+    out: list[str] = []
+    pos, before, last, last_index, found, mu = 0, None, None, 0, {}, t.mu
+    for run in t.runs:
+        index, s, pp, r, ds, dp, dr, count, q = run
+        if count < 1:
+            continue  # holds no row, as ``rows`` expands it
+        if index != pos:
+            out.append(f"row {pos}: index {index} != position {pos}")
+        if s * d - pp * c != r * a:
+            out.append(f"row {index}: s*d - p*c != r*a")
+        if ds * d - dp * c != dr * a:
+            out.append(f"row {index + 1}: s*d - p*c != r*a")
+        if pos < 2 and (q is not None or (pos == 0 and count > 1)):
+            out.append("rows 0,1 carry a quotient")
+        if pos >= 2 and q is not None and q < 2:
+            out.append(f"row {index}: quotient {q} < 2")
+        if pos >= 2 and (q is None or before[0] != q * last[0] - s):
+            out.append(f"row {index}: s_(i-1) != q_(i+1) s_i - s_(i+1)")
+        if last is not None:
+            out += _pair_violations(last_index, index, last, (s, pp, r), p)
+        if count > 1:
+            out += _pair_violations(index, index + 1, (s, pp, r), (s + ds, pp + dp, r + dr), p)
+            if pos and last[0] != s - ds:
+                out.append(f"row {index + 1}: s_(i-1) != q_(i+1) s_i - s_(i+1)")
+            ceil = [-(-(s + j * ds) // k) for j in range(min(count, k + 1))]
+            if any(dr + h * (y - x) >= 0 for x, y in zip(ceil, ceil[1:])):
+                out.append("r' not strictly decreasing")
+        for target in (mu, mu + 1):
+            if pos <= target < pos + count:
+                found[target] = _row_at(run, target - pos, k, h)
+        n = count - 1
+        before = (s + (n - 1) * ds, pp + (n - 1) * dp, r + (n - 1) * dr) if n else last
+        last, last_index, pos = (s + n * ds, pp + n * dp, r + n * dr), index + n, pos + count
+    first = t.runs[0]
+    if not (first.r - h * (-first.s // k) > 0 and last[2] - h * (-last[0] // k) < 0):
         out.append("r' does not change sign over the table")
+    if last[0] != 0:
+        out.append(f"row {last_index}: the table ends at s = {last[0]}, not 0")
     if not (t.pivot.r_prime > 0 >= t.after_pivot.r_prime):
         out.append("pivot does not bracket the r' sign change")
-    if rows[t.mu] != t.pivot or rows[t.mu + 1] != t.after_pivot:
+    if found.get(mu) != t.pivot or found.get(mu + 1) != t.after_pivot:
         out.append("pivot rows disagree with the rows mu, mu+1 of the table")
-    if tilde_for_pair(t.pivot, t.after_pivot, k, h) != (
-        t.tilde_sigma,
-        t.tilde_rho,
-        t.tilde_ell,
-        t.tilde_r,
-    ):
+    for row in (t.pivot, t.after_pivot):
+        if (row.sigma, row.rho, row.ell) != decompose(row.s, k):
+            out.append(f"row {row.index}: s decomposition broken")
+    tilde = (t.tilde_sigma, t.tilde_rho, t.tilde_ell, t.tilde_r)
+    if tilde_for_pair(t.pivot, t.after_pivot, k, h) != tilde:
         out.append("stored tilde fields disagree with the pair computation")
     rho_mu, rho_next = t.pivot.rho, t.after_pivot.rho
     drop = t.pivot.r_prime - t.after_pivot.r_prime
@@ -160,7 +185,7 @@ def euclid_violations(p: AagParams, t: EuclidTable) -> list[str]:
             out.append("pivot tilde relation r~ - h != r'_mu - r'_{mu+1}")
     elif t.tilde_r != drop:
         out.append("pivot tilde relation r~ != r'_mu - r'_{mu+1}")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def grobner_violations(p: AagParams, t: EuclidTable) -> list[str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume
@@ -89,6 +90,31 @@ def staircase_battery():
         t = build_table(p)
         if t.hypothesis_ok:
             out.append((p, t))
+    return out
+
+
+@pytest.fixture(scope="session")
+def verify_grid():
+    """(params, table) over the strided ``aag verify`` grid (a 2–400 step 37,
+    d −9..9, c 2–600 step 53, h 1–3) with k from 1 to 6, in the raw
+    presentation and, where the d < 0, h = 1 rewrite applies, the rewritten
+    one too; only tables that satisfy the staircase hypothesis."""
+    from aag.euclid import build_table
+
+    out = []
+    for a, d, c, k, h in product(
+        range(2, 401, 37), range(-9, 10), range(2, 601, 53), range(1, 7), range(1, 4)
+    ):
+        for normalize in (False, True):
+            try:
+                p = validate_params(a, d, h, k, c, normalize=normalize)
+            except AagError:
+                continue
+            if normalize and not p.normalized:
+                continue  # the same tuple as the raw one
+            t = build_table(p)
+            if t.hypothesis_ok:
+                out.append((p, t))
     return out
 
 

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from aag.core import phi, validate_params
+from aag import grobner
+from aag.cli import main as cli_main
+from aag.core import Monomial, phi, validate_params
 from aag.errors import AagError, HypothesisViolated, NonsenseInput
 from aag.euclid import EuclidTable, build_table, tilde_for_pair
 from aag.grobner import (
     Binomial,
+    _family_A_holds,
     _standard_is_staircase,
     certify_basis,
     families_BCD,
@@ -28,6 +33,67 @@ from aag.pseudofrob import pf_tilde
 from aag.staircase import StandardPoint, apery_set, frobenius, rectangles
 
 from conftest import monomial, valid_params
+
+
+def _reference_families_BCD(params, table):
+    """B, C and D built straight as ``Monomial`` pairs from the pivot rows:
+    the construction that ``families_BCD`` now renders from plane terms."""
+    k, h = params.k, params.h
+    piv, nxt = table.pivot, table.after_pivot
+    out = [Binomial(plane_monomial(piv.s, 0, k), plane_monomial(0, piv.p, k, piv.r_prime), "B")]
+    if piv.rho > 0:
+        out += [
+            Binomial(
+                plane_monomial(piv.s + j, 0, k), plane_monomial(j, piv.p, k, piv.r_prime - h), "B"
+            )
+            for j in range(1, k - piv.rho + 1)
+        ]
+    if nxt.s > 0:
+        ds, dp, r_tilde = piv.s - nxt.s, nxt.p - piv.p, table.tilde_r
+        out.append(Binomial(plane_monomial(ds, dp, k), plane_monomial(0, 0, k, r_tilde), "C"))
+        if table.tilde_rho > 0:
+            out += [
+                Binomial(plane_monomial(ds + j, dp, k), plane_monomial(j, 0, k, r_tilde - h), "C")
+                for j in range(1, k - table.tilde_rho + 1)
+            ]
+    out.append(
+        Binomial(plane_monomial(0, nxt.p, k), plane_monomial(nxt.s, 0, k, -nxt.r_prime), "D")
+    )
+    return out
+
+
+def _verdict(params, table, override):
+    """certify_basis on the default basis, or with ``basis=`` the A and B, C,
+    D binomials as ``Monomial`` pairs when ``override``; an error raised while
+    building or checking is the verdict too."""
+    try:
+        basis = family_A(params) + families_BCD(params, table) if override else None
+        return certify_basis(params, table, basis=basis)
+    except AagError as exc:
+        return type(exc).__name__
+
+
+def _table_corruptions(params, t):
+    """Copies of ``t`` with one pivot or tilde field moved by ±1, and with the
+    pivot pair moved to the neighbouring row pairs (rows of the same table,
+    so every binomial stays in the kernel)."""
+    for name in ("pivot", "after_pivot"):
+        row = getattr(t, name)
+        for field in ("s", "p", "r_prime", "rho"):
+            for step in (-1, 1):
+                moved = row._replace(**{field: getattr(row, field) + step})
+                yield dataclasses.replace(t, **{name: moved})
+    for field in ("tilde_r", "tilde_rho"):
+        for step in (-1, 1):
+            yield dataclasses.replace(t, **{field: getattr(t, field) + step})
+    rows = t.rows
+    for mu in (t.mu - 1, t.mu + 1):
+        if 0 <= mu < len(rows) - 1:
+            sigma, rho, ell, r = tilde_for_pair(rows[mu], rows[mu + 1], params.k, params.h)
+            yield dataclasses.replace(
+                t, mu=mu, pivot=rows[mu], after_pivot=rows[mu + 1],
+                tilde_sigma=sigma, tilde_rho=rho, tilde_ell=ell, tilde_r=r,
+            )
 
 
 def _lead_divisors(params, t, basis):
@@ -371,6 +437,93 @@ def test_corner_test_matches_the_column_walk():
     assert corrupted.count(False) > len(corrupted) // 2
 
 
+class TestIntegerCertificate:
+    """The default certificate (A on symbolic weights, B, C, D on plane
+    terms) against the ``basis=`` override, which checks every binomial as a
+    ``Monomial`` pair."""
+
+    def test_families_render_the_reference_construction(self, verify_grid, staircase_battery):
+        for p, t in verify_grid + random.Random(21).sample(staircase_battery, 500):
+            assert families_BCD(p, t) == _reference_families_BCD(p, t), (p.a, p.d, p.h, p.k, p.c)
+
+    def test_default_matches_the_override_on_the_verify_grid(self, verify_grid):
+        ks, raw = set(), False
+        for p, t in verify_grid:
+            assert _verdict(p, t, False) is _verdict(p, t, True) is True, (p.a, p.d, p.h, p.k, p.c)
+            ks.add(p.k)
+            raw |= not p.normalized and p.d < 0 and p.h == 1
+        assert ks == set(range(1, 7)) and raw and any(p.normalized for p, _ in verify_grid)
+
+    def test_default_matches_the_override_on_the_staircase_battery(self, staircase_battery):
+        for p, t in random.Random(21).sample(staircase_battery, 2000):
+            assert _verdict(p, t, False) is _verdict(p, t, True) is True, (p.a, p.d, p.h, p.k, p.c)
+
+    def test_default_matches_the_override_on_corrupted_tables(self, verify_grid):
+        verdicts = Counter()
+        for p, t in verify_grid[::20]:
+            for bad in _table_corruptions(p, t):
+                default = _verdict(p, bad, False)
+                assert default == _verdict(p, bad, True), ((p.a, p.d, p.h, p.k, p.c), bad)
+                verdicts[default] += 1
+        assert verdicts[False] > 1000 and verdicts["NonsenseInput"] > 100 and verdicts[True] > 10
+
+    def test_builds_no_monomial_and_checks_A_once_per_k_h(self, verify_grid, ex1, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default certificate built or weighed a monomial")
+
+        for name in ("phi", "plane_monomial", "kernel_check", "Monomial"):
+            monkeypatch.setattr(grobner, name, refuse)
+        terms, calls = grobner._a_terms, Counter()
+
+        def counted(k, h):
+            calls[k, h] += 1
+            return terms(k, h)
+
+        monkeypatch.setattr(grobner, "_a_terms", counted)
+        _family_A_holds.cache_clear()
+        grobner._family_A.cache_clear()
+        try:
+            tables = [(ex1, build_table(ex1))] + verify_grid[::7]
+            assert all(certify_basis(p, t) for p, t in tables)
+        finally:
+            _family_A_holds.cache_clear()
+            grobner._family_A.cache_clear()
+        assert calls == Counter({(p.k, p.h): 1 for p, _ in tables})
+
+    def test_negative_x0_power_raises(self, ex1):
+        # r'_{mu+1} > 0 gives the D tail x0^{-r'_{mu+1}}; r~ < 0 the C tail.
+        t = build_table(ex1)
+        for bad in (
+            dataclasses.replace(t, after_pivot=t.after_pivot._replace(r_prime=1)),
+            dataclasses.replace(t, tilde_r=-1),
+        ):
+            with pytest.raises(NonsenseInput, match="negative"):
+                certify_basis(ex1, bad)
+            with pytest.raises(NonsenseInput, match="negative"):
+                families_BCD(ex1, bad)
+
+    @pytest.mark.parametrize(
+        "tup",
+        [
+            (155, 1, 4, 20, 177),
+            (163, -2, 1, 19, 170),
+            (163, 7, 1, 19, 179),
+            (165, -2, 1, 19, 174),
+            (165, -1, 4, 19, 186),
+            (165, 4, 1, 19, 170),
+            (165, 7, 3, 19, 183),
+        ],
+    )
+    def test_cli_grobner_prints_the_reference_basis(self, tup, capsys):
+        # The 7 reference-sweep records, in (a, d, h, k, c) order.
+        a, d, h, k, c = tup
+        argv = ["analyze", "--a", a, "--d", d, "--h", h, "--k", k, "--c", c, "--grobner"]
+        assert cli_main([str(x) for x in argv]) == 0
+        p = validate_params(a, d, h, k, c)
+        expected = family_A(p) + _reference_families_BCD(p, build_table(p))
+        assert capsys.readouterr().out == "".join(f"{b}\n" for b in expected)
+
+
 class TestKnownCost:
     @pytest.fixture(autouse=True)
     def refuse_rows(self, monkeypatch):
@@ -378,6 +531,17 @@ class TestKnownCost:
             raise AssertionError("certification read the table's rows")
 
         monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+
+    def test_k_1000_certifies_without_a_monomial(self, monkeypatch):
+        # The parent construction built 499,500 A monomials of 1,002
+        # exponents here; the default certificate weighs integers only.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default certificate built a monomial")
+
+        monkeypatch.setattr(grobner, "Monomial", refuse)
+        a = 10**9 + 7
+        p = validate_params(a, 3, 2, 1000, 3 * a + 1)
+        assert certify_basis(p, build_table(p))
 
     @pytest.mark.parametrize("a", [10**6 + 1, 10**9 + 19, 10**12 + 1])
     def test_long_tables_certify_at_any_scale(self, a):
