@@ -614,6 +614,10 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
     type, PF set, Frobenius number and dispatch trace come from it in either
     presentation; only a Symmetric or AlmostSymmetric verdict on a rewritten
     d < 0, h = 1 tuple builds the raw table, to read the family parameters.
+    Beyond ``build_table`` it costs O(k log k) steps whatever a is (at most
+    k + 1 PF values, O(1) per family test); ``OracleOnly`` (k < 3 or no
+    hypothesis) costs the oracle's O(m * k) time and O(m) memory instead,
+    m the smallest generator, refused above AAG_MAX_A.
     """
     if t is None:
         t = build_table(p)

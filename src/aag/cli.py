@@ -356,6 +356,7 @@ def cmd_verify(args) -> int:
     grid = _grid(args, stride_a=args.stride_a, stride_c=args.stride_c)
     print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
+    import numpy  # noqa: F401 -- for the oracle, once: forked workers inherit it
     tasks = [(grid, a, d) for a, d in product(grid.a, grid.d)]
     failures, tally = _merge_chunks(_run_chunks(_verify_chunk, tasks, args.workers))
     checked = tally.pop("checked", 0)

@@ -6,10 +6,11 @@ gcd(a, d) = 1, all generators positive, and the list being a *minimal*
 generating system (embedding dimension k+2).  ``validate_params`` is the one
 gate every entry point goes through; everything downstream may assume its
 invariants.  Minimality is decided in closed form by ``is_minimal``: the
-generator differences form a few progressions of step d or -d, and each is
-settled with at most two Apery lookups per translate by a multiple of c, in
-time that does not grow with a; the brute-force oracle referees it in the
-tests and in ``aag verify``.
+generator differences form at most six progressions of step d or -d, each
+settled with at most two Apery lookups per translate by a multiple of c,
+or with one test per term when it has more than max(64, 8k) translates, so
+a call costs O(k) steps whatever a is; the brute-force oracle referees it
+in the tests and in ``aag verify``.
 
 When d < 0 and h = 1 the arithmetic part a, a+d, ..., a+kd is the same set
 read backwards from a+kd, so the tuple is rewritten to (a+kd, -d) with the
@@ -106,7 +107,8 @@ def validate_params(
     that check it later or not at all).  A system of k + 2 > m generators,
     m the smallest, is refused before the generators are built, and so,
     whatever ``check_minimality`` says, is k + 2 above the size cap
-    ``oracle.max_modulus()`` (``AAG_MAX_A``): both checks are O(1).
+    ``oracle.max_modulus()`` (``AAG_MAX_A``): both checks are O(1).  The
+    rest costs O(k) steps, with ``is_minimal``'s bound, whatever a is.
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.
     """
@@ -198,8 +200,7 @@ def _arithmetic_apery(a: int, d: int, h: int, k: int):
 #: A membership search of up to this many steps per translate runs step by
 #: step; a longer one runs ``_floor_path_min`` (see ``_triple_member``).
 #: ``is_minimal`` settles a progression of differences whole when it has at
-#: most this many translates by multiples of c, and one term at a time
-#: otherwise.
+#: most max(this, 8k) translates by multiples of c.
 _SHORT_SEARCH = 64
 
 
@@ -296,29 +297,11 @@ def _run_at_least(first: int, step: int, count: int, floor: int) -> tuple[int, i
     return first, min(count, (first - floor) // -step + 1)
 
 
-def _translate_search(a: int, d: int, h: int, k: int, c: int, apery):
-    """Membership x in S, one difference at a time (see ``is_minimal``)."""
-    ak = h * a + k * d
-    top, bottom = max(a, ak), min(a, ak)
-    smallest_in_a = min(a, h * a + d, ak)
-    in_triple = _triple_member(top, bottom, c)
-    translates = sorted((0, *(h * a + i * d for i in range(1, k))))
-
-    def in_s(x: int) -> bool:
-        by_c = min(x // c, smallest_in_a - 1) + 1
-        if by_c <= k * min(x // top + 1, _SHORT_SEARCH):
-            for y in range(x, x - by_c * c, -c):
-                if y >= apery(y):
-                    return True
-            return False
-        for g in translates:
-            if g > x:
-                break
-            if in_triple(x - g):
-                return True
-        return False
-
-    return in_s
+def _translate_search(a: int, ak: int, c: int, terms) -> bool:
+    """Is one of ``terms`` in <G, B, c>, G = max(a, ak), B = min(a, ak)?
+    A test covers every translate by a multiple of c (see ``is_minimal``)."""
+    in_triple = _triple_member(max(a, ak), min(a, ak), c)
+    return any(in_triple(x) for x in terms)
 
 
 def is_minimal(p: AagParams) -> bool:
@@ -352,19 +335,21 @@ def is_minimal(p: AagParams) -> bool:
     first term and the term with j = 0 when j rises, the term with j = 0
     and the last term when j falls.
 
-    A progression whose t range is longer than ``_SHORT_SEARCH`` is
-    searched one difference at a time instead: x - m*c in T step by step
-    when that takes at most k * min(x // G + 1, 64) steps, G = max(a,
-    ha+kd); otherwise x - g_i in <G, B, c> for some 0 <= i < k (g_0 = 0),
-    with B = min(a, ha+kd).  Every Apery element of T is 0 or
-    (t-1)*(ha+kd) + g_i with 1 <= i <= k, so S is the union of the
-    translates g_i + <a, ha+kd, c>, and ``_triple_member`` answers each in
-    at most 64 steps or O(log^2) Euclidean steps.
+    A progression with more than max(64, 8k) translates goes to
+    ``_translate_search``: is a term in T3 = <G, B, c>, G = max(a, ha+kd),
+    B = min(a, ha+kd)?  As g_i + g_j is g_{i+j} + ha (i + j <= k) or
+    g_{i+j-k} + (ha+kd), S is the union of g_i + T3, 0 <= i < k (g_0 = 0).
+    If x - g_i = t is in T3 for a difference x and i >= 1, then one of
+    t + ha, t + (ha+kd), t + a, t + c (all in T3) is a difference:
+    c - g_{i+j} or c - g_{i+j-k} for x = c - g_j (likewise a - g_j),
+    g_{j-i} - a or (i-j)|d| for g_j - a, |j-i||d| for g_j - c, c - g_i or
+    a - g_i for |c - a|, and (m-i)|d|, (m+i)|d| or (m+i-k)|d| for m|d|.
+    So some difference is in S exactly when one is in T3, and the long
+    progressions may be tested against T3 alone.
 
-    So a call makes at most 2 * 6 * 64 Apery lookups on the short
-    progressions, whatever k is, and a difference of a long progression
-    costs O(k * 64 + k * log^2 c) integer operations; a lookup costs O(1),
-    or O(k) in the d < 0 window of ``_arithmetic_apery`` (a < k*|d|/h).
+    A call makes at most 2 * 6 * max(64, 8k) Apery lookups, O(1) each
+    (O(k) in the d < 0 window of ``_arithmetic_apery``), and at most 3k
+    ``_triple_member`` tests of O(64 + log^2 c) steps, whatever a is.
     """
     gens = p.generators
     if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
@@ -373,12 +358,12 @@ def is_minimal(p: AagParams) -> bool:
     if d < 0 and h == 1:
         # The raw presentation lists the same set from the other end.
         a, d = a + k * d, -d
-    g1 = h * a + d
+    g1, ak = h * a + d, h * a + k * d
     smallest = min(gens)
-    smallest_in_a = min(a, g1, h * a + k * d)
+    smallest_in_a = min(a, g1, ak)
     apery = _arithmetic_apery(a, d, h, k)
     d_inv = pow(d, -1, a)
-    in_s = None
+    deferred = set()
     # (first term, step, number of terms); the step is d or -d.
     progressions = (
         (abs(d), abs(d), k - 1),
@@ -394,11 +379,8 @@ def is_minimal(p: AagParams) -> bool:
             continue
         last = first + (count - 1) * step
         by_c = min(max(first, last) // c, smallest_in_a - 1) + 1
-        if by_c > _SHORT_SEARCH:
-            if in_s is None:
-                in_s = _translate_search(a, d, h, k, c, apery)
-            if any(in_s(x) for x in range(first, last + step, step)):
-                return False
+        if by_c > max(_SHORT_SEARCH, 8 * k):
+            deferred.update(range(first, last + step, step))
             continue
         for t in range(by_c):
             y, z = first - t * c, last - t * c
@@ -414,7 +396,7 @@ def is_minimal(p: AagParams) -> bool:
                 zero = y + j * step
                 if z >= apery(z) or (j < count - 1 and zero >= apery(zero)):
                     return False
-    return True
+    return not deferred or not _translate_search(a, ak, c, deferred)
 
 
 def phi(m: Monomial, p: AagParams) -> int:

@@ -223,7 +223,9 @@ def build_table(params: AagParams) -> EuclidTable:
     changes sign, so the pivot data cost O(log a) steps however long the
     table is; only the rows μ and μ + 1 are built, and no table is refused
     for its length.  The full row list (``EuclidTable.rows``) is built from
-    the same runs on first read, and only it is capped by AAG_MAX_A.
+    the same runs on first read, and only it is capped by AAG_MAX_A.  So a
+    table costs O(log a) steps whatever k is: one r' per run walked, and
+    O(log a) more in the bisection.
     """
     a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
     s1, r1 = _second_row(params)

@@ -880,3 +880,18 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_verify_imports_numpy_before_the_workers_fork(self):
+        # Forked workers inherit the parent's numpy instead of each
+        # importing it on its first oracle table.
+        script = (
+            "import sys, aag.cli\n"
+            "aag.cli._run_chunks = lambda *args: print('numpy' in sys.modules) or []\n"
+            "aag.cli.main(sys.argv[1:])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", *SMALL_GRID, "--workers", "2"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "True"

@@ -22,7 +22,7 @@ from aag.core import (
     phi,
     validate_params,
 )
-from aag.euclid import build_table
+from aag.euclid import EuclidTable, build_table
 from aag.errors import (
     AagError,
     GcdViolation,
@@ -408,6 +408,117 @@ class TestProgressionSearch:
         # for each of the six progressions.
         assert max(new) <= 12, new
         assert reference[-1] >= 500 > 12 * reference[0], reference
+
+    @pytest.mark.parametrize("k", [50, 200, 1000, 4000])
+    def test_known_cost_over_the_c_band(self, k, counted_searches):
+        # Small c against differences near 2a: at k <= 200 some progressions
+        # have more than 8k translates and reach the triple tests.
+        lookups, arguments = counted_searches
+        long_calls = 0
+        for c in range(k + 2, k + 401, 7):
+            p = _unchecked(1_000_003, 7, 2, k, c)
+            lookups.clear()
+            arguments.clear()
+            answer = is_minimal(p)
+            assert len(lookups) <= 2 * 6 * max(64, 8 * k), c
+            assert len(arguments) == len(set(arguments)) <= 3 * k, c
+            long_calls += bool(arguments)
+            if k <= 200:
+                assert answer == _reference_is_minimal(p), c
+        assert (long_calls > 0) == (k <= 200), long_calls
+
+    def test_long_progressions_agree_with_the_oracle(self, monkeypatch):
+        # Small c and a up to 3,000, so that progressions of differences
+        # have more than max(64, 8k) translates; h = 1 with d < 0 also
+        # takes the raw presentation.
+        calls = []
+        search = core._translate_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(core, "_translate_search", counted)
+        rng = random.Random(22)
+        checked = reached = 0
+        while checked < 1_000:
+            k, h = rng.randint(3, 40), rng.randint(1, 6)
+            a, c = rng.randint(k + 2, 3_000), rng.randint(k + 2, k + 60)
+            d = rng.choice((-1, 1)) * rng.randint(1, 40)
+            try:
+                p = _unchecked(a, d, h, k, c, normalize=rng.random() < 0.5)
+            except AagError:
+                continue
+            before = len(calls)
+            assert _agrees_with_oracle(p), (a, d, h, k, c, p.normalized)
+            reached += len(calls) > before
+            checked += 1
+        assert reached > 150, reached
+
+
+@pytest.fixture
+def counted_searches(monkeypatch):
+    """Record every Apery lookup of ``is_minimal`` and every argument of its
+    triple test; returns the two lists."""
+    lookups, arguments = [], []
+    apery_of, triple_of = core._arithmetic_apery, core._triple_member
+
+    def counted_apery(*args):
+        w = apery_of(*args)
+
+        def counted(r):
+            lookups.append(r)
+            return w(r)
+
+        return counted
+
+    def counted_triple(*args):
+        member = triple_of(*args)
+
+        def counted(y):
+            arguments.append(y)
+            return member(y)
+
+        return counted
+
+    monkeypatch.setattr(core, "_arithmetic_apery", counted_apery)
+    monkeypatch.setattr(core, "_triple_member", counted_triple)
+    return lookups, arguments
+
+
+class TestKnownCost:
+    """``validate_params`` at a = 10^12 + 1: counted work bounded in k, no rows."""
+
+    A = 10**12 + 1
+
+    @pytest.fixture(autouse=True)
+    def refuse_rows(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("validation read a table's rows")
+
+        monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+
+    @pytest.mark.parametrize(
+        "d,h,k,c,minimal",
+        [
+            (7, 2, 3, 3 * A + 1, True),
+            (7, 2, 4000, 3 * A + 1, True),
+            (1, 4, 4000, 5 * A - 1, True),  # a table of a + 1 rows
+            (7, 2, 1000, 1065, True),  # small c: the triple tests decide
+            (7, 2, 4000, 4159, True),
+            (7, 2, 4000, 4007, False),
+        ],
+    )
+    def test_validation_is_bounded_in_k(self, d, h, k, c, minimal, counted_searches):
+        lookups, arguments = counted_searches
+        if minimal:
+            assert validate_params(self.A, d, h, k, c).k == k
+        else:
+            with pytest.raises(NotMinimal):
+                validate_params(self.A, d, h, k, c)
+        assert len(lookups) <= 2 * 6 * max(64, 8 * k)
+        assert len(arguments) == len(set(arguments)) <= 3 * k
+        assert bool(arguments) == (c < 10**6)
 
 
 @pytest.fixture

@@ -7,12 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from aag import oracle
+from aag import euclid, oracle
 from aag.classify import VERDICT_NEITHER, classify
 from aag.core import validate_params
 from aag.errors import AagError, NonsenseInput
 from aag.euclid import (
     EuclidRow,
+    EuclidTable,
     build_table,
     decompose,
     format_table,
@@ -285,3 +286,41 @@ class TestRowCount:
         rep = oracle.oracle_report(list(p.generators))
         assert (rep.frobenius, rep.type, rep.pf) == (cls.frobenius, cls.type, cls.pf)
         assert len(t.rows) == 1020
+
+
+class TestKnownCost:
+    """``build_table`` at a = 10^12 + 1: O(log a) counted steps whatever k is."""
+
+    @pytest.mark.parametrize("k", [3, 50, 1000, 4000])
+    @pytest.mark.parametrize("shape", ["long", "friendly", "small c"])
+    def test_walks_no_more_runs_than_the_table_has(self, k, shape, monkeypatch):
+        a = 10**12 + 1
+        d, h, c = {
+            "long": (1, 4, 5 * a - 1),  # a + 1 rows
+            "friendly": (7, 2, 3 * a + 1),
+            "small c": (7, 2, k + 159),
+        }[shape]
+        p = validate_params(a, d, h, k, c, check_minimality=False)
+        runs = sum(1 for _ in euclid._runs(a, d, *euclid._second_row(p)))
+        yielded, r_primes = [], []
+        walk, r_prime_at = euclid._runs, euclid._r_prime_at
+
+        def counted_walk(*args):
+            for run in walk(*args):
+                yielded.append(run)
+                yield run
+
+        def counted_r_prime(*args):
+            r_primes.append(args)
+            return r_prime_at(*args)
+
+        def refuse(table):
+            raise AssertionError("build_table read the table's rows")
+
+        monkeypatch.setattr(euclid, "_runs", counted_walk)
+        monkeypatch.setattr(euclid, "_r_prime_at", counted_r_prime)
+        monkeypatch.setattr(EuclidTable, "rows", property(refuse))
+        t = build_table(p)
+        assert t.pivot.index == t.mu and t.after_pivot.index == t.mu + 1
+        assert 0 < len(yielded) <= runs <= 4 * a.bit_length()
+        assert len(r_primes) <= len(yielded) + a.bit_length() + 1
