@@ -8,9 +8,11 @@ gate every entry point goes through; everything downstream may assume its
 invariants.  Minimality is decided in closed form by ``is_minimal``: the
 generator differences form at most six progressions of step d or -d, each
 settled with at most two Apery lookups per translate by a multiple of c,
-or with one test per term when it has more than max(64, 8k) translates, so
+or with one test per term when it has more than max(64, 3k) translates, so
 a call costs O(k) steps whatever a is; the brute-force oracle referees it
-in the tests and in ``aag verify``.
+in the tests and in ``aag verify``.  The Apery function of the arithmetic
+part, with d^-1 mod a, depends on (a, d, h, k) alone, so the cells of a c
+column share it through a 32-entry cache of small closures.
 
 When d < 0 and h = 1 the arithmetic part a, a+d, ..., a+kd is the same set
 read backwards from a+kd, so the tuple is rewritten to (a+kd, -d) with the
@@ -25,6 +27,7 @@ quadratic discriminants near (k*c*a)**2 are exact and nothing can wrap.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,7 +41,7 @@ from .errors import (
 from .oracle import max_modulus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AagParams:
     """Validated parameter tuple (a, d, h, k, c) plus derived data.
 
@@ -101,8 +104,8 @@ def validate_params(
 
     Checks, in order: basic shape (positive a, h, k, c and nonzero integer
     d); the d<0, h=1 rewrite (applied before further checks when
-    ``normalize`` is on); positivity of every generator; gcd(a, d) = 1 and
-    gcd of all generators = 1; and minimality of the generating system by
+    ``normalize`` is on); positivity of every generator; gcd(a, d) = 1,
+    which makes all generators coprime; and minimality of the system by
     ``is_minimal`` (skippable with ``check_minimality=False`` for callers
     that check it later or not at all).  A system of k + 2 > m generators,
     m the smallest, is refused before the generators are built, and so,
@@ -112,12 +115,17 @@ def validate_params(
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.
     """
-    for name, value in (("a", a), ("h", h), ("k", k), ("c", c)):
-        _require_positive_int(name, value)
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise NonsenseInput(f"d must be an integer, got {d!r}")
-    if d == 0:
-        raise NonsenseInput("d must be nonzero (d=0 collapses the arithmetic part)")
+    if not (
+        type(a) is type(d) is type(h) is type(k) is type(c) is int
+        and a > 0 and h > 0 and k > 0 and c > 0 and d
+    ):
+        # Only a failing check, or an int subclass, pays for the named checks.
+        for name, value in (("a", a), ("h", h), ("k", k), ("c", c)):
+            _require_positive_int(name, value)
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise NonsenseInput(f"d must be an integer, got {d!r}")
+        if d == 0:
+            raise NonsenseInput("d must be nonzero (d=0 collapses the arithmetic part)")
 
     normalized = False
     if normalize and d < 0 and h == 1:
@@ -127,11 +135,12 @@ def validate_params(
         if a <= 0:
             raise NonPositiveGenerator(f"a+kd = {a} is not positive")
 
-    if h * a + k * d <= 0:
-        raise NonPositiveGenerator(f"ha+kd = {h * a + k * d} is not positive")
+    ha, ak = h * a, h * a + k * d
+    if ak <= 0:
+        raise NonPositiveGenerator(f"ha+kd = {ak} is not positive")
     if math.gcd(a, d) != 1:
         raise GcdViolation(f"gcd(a,d) = {math.gcd(a, d)}")
-    smallest = min(a, h * a + d, h * a + k * d, c)
+    smallest = min(a, ha + d, ak, c)
     if check_minimality and k + 2 > smallest:
         # Checked before the k + 2 generators are built, so a huge k costs O(1).
         raise NotMinimal(
@@ -146,12 +155,9 @@ def validate_params(
             f"k+2 = {k + 2} generators exceed the cap {cap} (set AAG_MAX_A to raise it)"
         )
 
-    gens = (a, *(h * a + i * d for i in range(1, k + 1)), c)
-    if math.gcd(*gens) != 1:
-        # Unreachable given gcd(a, d) = 1, but the invariant is cheap to state.
-        raise GcdViolation(f"gcd of generators is {math.gcd(*gens)}")
-
-    p = AagParams(a=a, d=d, h=h, k=k, c=c, generators=gens, normalized=normalized)
+    # gcd(a, d) = 1 makes the generators coprime: gcd(a, ha + d) = gcd(a, d).
+    gens = (a, *range(ha + d, ak + d, d), c)
+    p = AagParams(a, d, h, k, c, gens, normalized)  # positional: keywords cost more
     if check_minimality and not is_minimal(p):
         raise NotMinimal(
             f"generators {gens} are not a minimal system (embedding dimension < k+2)"
@@ -159,6 +165,7 @@ def validate_params(
     return p
 
 
+@functools.lru_cache(maxsize=32)
 def _arithmetic_apery(a: int, d: int, h: int, k: int):
     """Apery function of T = <a, ha+d, ..., ha+kd> with respect to a.
 
@@ -179,6 +186,9 @@ def _arithmetic_apery(a: int, d: int, h: int, k: int):
     the empty sum).  When h * (a // k) >= |d|, m = 0 wins outright:
     ceil((J + m*a)/k) - ceil(J/k) >= m * (a // k), so the cost rises by at
     least m * a * (h * (a // k) - |d|) >= 0.  That covers every a >= k*|d|.
+
+    Kept per (a, d, h, k) in a 32-entry cache, d^-1 with it: a grid walk
+    asks for the same few closures across a c column's cells.
     """
     d_inv = pow(d, -1, a)
     ha = h * a
@@ -200,7 +210,8 @@ def _arithmetic_apery(a: int, d: int, h: int, k: int):
 #: A membership search of up to this many steps per translate runs step by
 #: step; a longer one runs ``_floor_path_min`` (see ``_triple_member``).
 #: ``is_minimal`` settles a progression of differences whole when it has at
-#: most max(this, 8k) translates by multiples of c.
+#: most max(this, 3k) translates by multiples of c; past about 2k-3k of them
+#: its k terms' triple tests cost less (measured at k = 100 ... 4,000).
 _SHORT_SEARCH = 64
 
 
@@ -288,15 +299,6 @@ def _triple_member(top: int, bottom: int, c: int):
     return member
 
 
-def _run_at_least(first: int, step: int, count: int, floor: int) -> tuple[int, int]:
-    """First term and length of the run of first + s*step (0 <= s < count)
-    that is at least ``floor``; a progression is monotone, so it is one run."""
-    if step > 0:
-        skip = max(0, -((first - floor) // step))
-        return first + skip * step, count - skip
-    return first, min(count, (first - floor) // -step + 1)
-
-
 def _translate_search(a: int, ak: int, c: int, terms) -> bool:
     """Is one of ``terms`` in <G, B, c>, G = max(a, ak), B = min(a, ak)?
     A test covers every translate by a multiple of c (see ``is_minimal``)."""
@@ -310,8 +312,8 @@ def is_minimal(p: AagParams) -> bool:
     Equals ``oracle.is_minimal_generating(list(p.generators))`` on every
     validated tuple, in time that does not grow with a.  A minimal system
     has at most as many generators as its smallest generator m (they lie
-    in distinct classes mod m), so k + 2 > m makes the system redundant,
-    and so does a duplicate generator or a generator equal to 1.
+    in distinct classes mod m), so k + 2 > m makes the system redundant
+    (a generator equal to 1 among them), and so does a duplicate generator.
     Otherwise a generator g is redundant exactly when g - g' lies in S for
     a smaller generator g' (the pair criterion of the oracle).  The
     positive differences form at most six arithmetic progressions of step
@@ -335,7 +337,7 @@ def is_minimal(p: AagParams) -> bool:
     first term and the term with j = 0 when j rises, the term with j = 0
     and the last term when j falls.
 
-    A progression with more than max(64, 8k) translates goes to
+    A progression with more than max(64, 3k) translates goes to
     ``_translate_search``: is a term in T3 = <G, B, c>, G = max(a, ha+kd),
     B = min(a, ha+kd)?  As g_i + g_j is g_{i+j} + ha (i + j <= k) or
     g_{i+j-k} + (ha+kd), S is the union of g_i + T3, 0 <= i < k (g_0 = 0).
@@ -347,19 +349,22 @@ def is_minimal(p: AagParams) -> bool:
     So some difference is in S exactly when one is in T3, and the long
     progressions may be tested against T3 alone.
 
-    A call makes at most 2 * 6 * max(64, 8k) Apery lookups, O(1) each
+    A call makes at most 2 * 6 * max(64, 3k) Apery lookups, O(1) each
     (O(k) in the d < 0 window of ``_arithmetic_apery``), and at most 3k
     ``_triple_member`` tests of O(64 + log^2 c) steps, whatever a is.
     """
     gens = p.generators
-    if p.k + 2 > min(gens) or len(set(gens)) != len(gens) or 1 in gens:
-        return False
     a, d, h, k, c = p.a, p.d, p.h, p.k, p.c
+    # g_1, ..., g_k step by d != 0: their least one is an end, and only c
+    # can repeat a generator, since a = g_i needs (h - 1)a = -i*d, so a | i
+    # (gcd(a, d) = 1), while i <= k < k + 2 <= a.
+    smallest = min(a, gens[1], gens[k], c)
+    if k + 2 > smallest or gens.count(c) > 1:
+        return False
     if d < 0 and h == 1:
         # The raw presentation lists the same set from the other end.
         a, d = a + k * d, -d
     g1, ak = h * a + d, h * a + k * d
-    smallest = min(gens)
     smallest_in_a = min(a, g1, ak)
     apery = _arithmetic_apery(a, d, h, k)
     d_inv = pow(d, -1, a)
@@ -373,13 +378,19 @@ def is_minimal(p: AagParams) -> bool:
         (g1 - c, d, k),
         (abs(c - a), d, 1),
     )
+    short = max(_SHORT_SEARCH, 3 * k)
     for first, step, count in progressions:
-        first, count = _run_at_least(first, step, count, smallest)
+        # A progression is monotone: its terms of at least ``smallest`` are one run.
+        if step > 0:
+            skip = max(0, -((first - smallest) // step))
+            first, count = first + skip * step, count - skip
+        else:
+            count = min(count, (first - smallest) // -step + 1)
         if count <= 0:
             continue
         last = first + (count - 1) * step
         by_c = min(max(first, last) // c, smallest_in_a - 1) + 1
-        if by_c > max(_SHORT_SEARCH, 8 * k):
+        if by_c > short:
             deferred.update(range(first, last + step, step))
             continue
         for t in range(by_c):

@@ -34,16 +34,17 @@ arithmetic progression in (s, p, r), and a table has O(log a) such runs
 (see ``_runs``), so ``build_table`` finds the pivot by bisecting r'
 inside the run where it changes sign: the pivot data (μ, the rows μ and
 μ + 1, the tilde fields, the hypothesis) cost O(log a) steps whatever the
-table's length.  ``EuclidTable.runs`` keeps the runs; ``rows``, a view
-over them, expands every row on first read: Θ(a) time and memory on a long
-table, and the one part that the size cap AAG_MAX_A limits.
+table's length.  The runs depend on (a, d, c) alone, so the tables of a
+column share one walk (``_column_runs``, a 32-entry cache of O(log a) runs
+each) and ``EuclidTable.runs`` is that tuple.  ``rows``, a view over it,
+expands every row on first read: Θ(a) time and memory on a long table, the
+one part that the size cap AAG_MAX_A limits, and never cached.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 from .core import AagParams
@@ -101,11 +102,9 @@ class EuclidTable:
     tilde_ell: int
     tilde_r: int
     hypothesis_ok: bool
-
-    @cached_property
-    def runs(self) -> tuple[_Run, ...]:
-        """The table as its O(log a) runs (``_runs``), built on first read and kept."""
-        return tuple(_runs(self.params.a, self.params.d, *_second_row(self.params)))
+    #: The table as its O(log a) runs: the tuple of its (a, d, c) column
+    #: (``_column_runs``), shared with every table of that column.
+    runs: tuple[_Run, ...] = field(repr=False, compare=False)
 
     @cached_property
     def rows(self) -> tuple[EuclidRow, ...]:
@@ -178,14 +177,22 @@ def tilde_for_pair(lo: EuclidRow, hi: EuclidRow, k: int, h: int) -> tuple[int, i
     return sigma, rho, ell, lo.r - hi.r + h * (sigma + ell)
 
 
-def _second_row(params: AagParams) -> tuple[int, int]:
-    """(s_1, r_1): the least s_1 >= 0 with s_1·d ≡ c (mod a), and its r."""
-    a, d, c = params.a, params.d, params.c
+@lru_cache(maxsize=32)
+def _column_runs(a: int, d: int, c: int) -> tuple[_Run, ...]:
+    """The runs (``_runs``) of the tables of the (a, d, c) column, walked once.
+
+    Rows, quotients and runs depend on (a, d, c) alone; h and k only move
+    r' and the pivot.  A grid walk meets a column's (k, h) cells in a row,
+    so a few entries serve it, and each holds O(log a) runs.  Rows of a table
+    are never cached.
+    """
     s1 = (c % a) * pow(d % a, -1, a) % a  # the inverse exists because gcd(a, d) = 1
     r1, rem = divmod(s1 * d - c, a)
     if rem:
         raise AssertionError("s1 does not solve s*d ≡ c (mod a)")
-    return s1, r1
+    # Unpacked, not tuple(generator): that over-allocates and shrinks each
+    # tuple, and a sweep's peak RSS grew by 0.6 MB with it.
+    return (*_runs(a, d, s1, r1),)
 
 
 def _runs(a: int, d: int, s1: int, r1: int) -> Iterator[_Run]:
@@ -228,36 +235,31 @@ def build_table(params: AagParams) -> EuclidTable:
     O(log a) more in the bisection.
     """
     a, d, h, k, c = params.a, params.d, params.h, params.k, params.c
-    s1, r1 = _second_row(params)
+    runs = _column_runs(a, d, c)
     # r' strictly decreases, so the first row i >= 1 with r'_i <= 0 sits in
-    # the first run (after row 0) whose last row has r' <= 0.
-    previous = piv = None
-    for run in _runs(a, d, s1, r1):
-        if run.index and _r_prime_at(run, run.count - 1, k, h) <= 0:
-            j = bisect_left(
-                range(run.count - 1), True, key=lambda j: _r_prime_at(run, j, k, h) <= 0
-            )
-            nxt = _row_at(run, j, k, h)
-            piv = _row_at(run, j - 1, k, h) if j else _row_at(previous, previous.count - 1, k, h)
+    # the first run (after row 0) whose last row has r' <= 0: bisect there.
+    piv = None
+    for n in range(1, len(runs)):
+        run = runs[n]
+        lo, hi = 0, run.count - 1
+        if _r_prime_at(run, hi, k, h) <= 0:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _r_prime_at(run, mid, k, h) <= 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            before = (run, lo - 1) if lo else (runs[n - 1], runs[n - 1].count - 1)
+            piv, nxt = _row_at(*before, k, h), _row_at(run, lo, k, h)
             break
-        previous = run
     if piv is None or piv.r_prime <= 0:
         raise NoPivot(
             f"no row with r' > 0 >= next r' for (a={a}, d={d}, h={h}, k={k}, c={c})"
         )
-
-    t_sigma, t_rho, t_ell, t_r = tilde_for_pair(piv, nxt, k, h)
-    return EuclidTable(
-        params=params,
-        mu=piv.index,
-        pivot=piv,
-        after_pivot=nxt,
-        tilde_sigma=t_sigma,
-        tilde_rho=t_rho,
-        tilde_ell=t_ell,
-        tilde_r=t_r,
-        hypothesis_ok=piv.r_prime >= h or piv.rho == 0,
-    )
+    # Positional: a frozen dataclass pays more for keywords.  The fields run
+    # params, mu, pivot, after_pivot, the four tilde fields, hypothesis_ok, runs.
+    hypothesis_ok = piv.r_prime >= h or piv.rho == 0
+    return EuclidTable(params, piv.index, piv, nxt, *tilde_for_pair(piv, nxt, k, h), hypothesis_ok, runs)
 
 
 def format_table(table: EuclidTable) -> str:

@@ -208,10 +208,6 @@ def pf_tilde(p: AagParams, t: EuclidTable) -> PfResult:
             f"pseudo-Frobenius values collide: {values} for a={p.a}, d={p.d}, "
             f"h={p.h}, k={p.k}, c={p.c}"
         )
-    return PfResult(
-        runs=tuple(runs),
-        pf_numbers=tuple(values),
-        type=len(values),
-        case_trace=f"PF1: clause {clause1}; PF2: clause {clause2}",
-        params=p,
-    )
+    # Positional (runs, pf_numbers, type, case_trace, params): keywords cost more.
+    trace = f"PF1: clause {clause1}; PF2: clause {clause2}"
+    return PfResult(tuple(runs), tuple(values), len(values), trace, p)

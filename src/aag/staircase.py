@@ -116,8 +116,10 @@ def weight(params: AagParams, pt: StandardPoint) -> int:
 def _top_row_max(params: AagParams, lo: int, hi: int, z: int) -> int:
     """Largest weight on row z over the columns lo <= y < hi (lo < hi)."""
     last_unit = hi - 1 - (hi - 2) % params.k  # last y < hi with y ≡ 1 (mod k)
-    columns = (lo, hi - 1, last_unit) if last_unit >= lo else (lo, hi - 1)
-    return max(_column_weight(params, y) for y in columns) + z * params.c
+    best = max(_column_weight(params, lo), _column_weight(params, hi - 1))
+    if last_unit > lo:
+        best = max(best, _column_weight(params, last_unit))
+    return best + z * params.c
 
 
 def frobenius(params: AagParams, table: EuclidTable) -> int:

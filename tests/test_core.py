@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 import time
 
@@ -148,6 +150,68 @@ class TestValidateErrors:
         monkeypatch.setenv("AAG_MAX_A", "3")
         with pytest.raises(NotMinimal):
             validate_params(4, 1, 1, 3, 9)
+
+
+class TestParamsRecord:
+    """``AagParams`` is a slotted frozen record, and the fast shape check in
+    front of ``validate_params`` keeps every error class and message."""
+
+    def test_slotted_frozen_record(self):
+        p = validate_params(155, 1, 4, 20, 177)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.c = 178
+
+    @pytest.mark.parametrize("args", [(155, 1, 4, 20, 177), (20, -1, 1, 3, 23)])
+    def test_pickle_equality_and_hash(self, args):
+        p = validate_params(*args)
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p == validate_params(*args) and again is not p
+        assert hash(again) == hash(p)
+        assert (again.normalized, again.generators) == (p.normalized, p.generators)
+        assert len({p, again, validate_params(*args)}) == 1
+        assert p != validate_params(155, 1, 4, 20, 179)
+
+    def test_replace(self):
+        p = validate_params(155, 1, 4, 20, 177)
+        q = dataclasses.replace(p, c=179, generators=(*p.generators[:-1], 179))
+        assert type(q) is AagParams and (q.c, q.generators[-1]) == (179, 179)
+        assert (q.a, q.d, q.h, q.k, q.normalized) == (p.a, p.d, p.h, p.k, p.normalized)
+        assert q.arithmetic_part() == p.arithmetic_part() and q != p
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((True, 1, 1, 3, 7), "a must be an integer, got True"),
+            ((5, 1, True, 3, 7), "h must be an integer, got True"),
+            ((5, 1, 1, False, 7), "k must be an integer, got False"),
+            ((5, True, 1, 3, 7), "d must be an integer, got True"),
+            ((5.0, 1, 1, 3, 7), "a must be an integer, got 5.0"),
+            ((5, 1, 1, 3, "7"), "c must be an integer, got '7'"),
+            ((5, 1.0, 1, 3, 7), "d must be an integer, got 1.0"),
+            ((5, None, 1, 3, 7), "d must be an integer, got None"),
+            ((0, 1, 1, 3, 7), "a must be positive, got 0"),
+            ((5, 1, -1, 3, 7), "h must be positive, got -1"),
+            ((5, 1, 1, 0, 7), "k must be positive, got 0"),
+            ((5, 1, 1, 3, -7), "c must be positive, got -7"),
+            ((0, 0, 0, 0, 0), "a must be positive, got 0"),
+            ((5, 0, 1, 3, 7), "d must be nonzero (d=0 collapses the arithmetic part)"),
+            ((5, 0, 0, 3, 7), "h must be positive, got 0"),
+        ],
+    )
+    def test_every_shape_error_keeps_its_class_and_message(self, args, message):
+        with pytest.raises(NonsenseInput) as exc:
+            validate_params(*args)
+        assert type(exc.value) is NonsenseInput and str(exc.value) == message
+
+    def test_int_subclasses_take_the_named_checks(self):
+        class Wide(int):
+            pass
+
+        p = validate_params(Wide(155), Wide(1), 4, 20, Wide(177))
+        assert p == validate_params(155, 1, 4, 20, 177)
+        with pytest.raises(NonsenseInput, match="d must be nonzero"):
+            validate_params(155, Wide(0), 4, 20, 177)
 
 
 class TestGeneratorInvariants:
@@ -412,7 +476,7 @@ class TestProgressionSearch:
     @pytest.mark.parametrize("k", [50, 200, 1000, 4000])
     def test_known_cost_over_the_c_band(self, k, counted_searches):
         # Small c against differences near 2a: at k <= 200 some progressions
-        # have more than 8k translates and reach the triple tests.
+        # have more than 3k translates and reach the triple tests.
         lookups, arguments = counted_searches
         long_calls = 0
         for c in range(k + 2, k + 401, 7):
@@ -420,7 +484,7 @@ class TestProgressionSearch:
             lookups.clear()
             arguments.clear()
             answer = is_minimal(p)
-            assert len(lookups) <= 2 * 6 * max(64, 8 * k), c
+            assert len(lookups) <= 2 * 6 * max(64, 3 * k), c
             assert len(arguments) == len(set(arguments)) <= 3 * k, c
             long_calls += bool(arguments)
             if k <= 200:
@@ -429,7 +493,7 @@ class TestProgressionSearch:
 
     def test_long_progressions_agree_with_the_oracle(self, monkeypatch):
         # Small c and a up to 3,000, so that progressions of differences
-        # have more than max(64, 8k) translates; h = 1 with d < 0 also
+        # have more than max(64, 3k) translates; h = 1 with d < 0 also
         # takes the raw presentation.
         calls = []
         search = core._translate_search
@@ -516,7 +580,7 @@ class TestKnownCost:
         else:
             with pytest.raises(NotMinimal):
                 validate_params(self.A, d, h, k, c)
-        assert len(lookups) <= 2 * 6 * max(64, 8 * k)
+        assert len(lookups) <= 2 * 6 * max(64, 3 * k)
         assert len(arguments) == len(set(arguments)) <= 3 * k
         assert bool(arguments) == (c < 10**6)
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
-from aag import euclid, oracle
+from aag import euclid, oracle, verify
 from aag.classify import VERDICT_NEITHER, classify
+from aag.cli import Grid, _verify_reject, iter_cells
 from aag.core import validate_params
 from aag.errors import AagError, NonsenseInput
 from aag.euclid import (
@@ -301,7 +303,9 @@ class TestKnownCost:
             "small c": (7, 2, k + 159),
         }[shape]
         p = validate_params(a, d, h, k, c, check_minimality=False)
-        runs = sum(1 for _ in euclid._runs(a, d, *euclid._second_row(p)))
+        runs = len(euclid._column_runs(a, d, c))
+        # An earlier case may hold this column: count a walk from a cold cache.
+        euclid._column_runs.cache_clear()
         yielded, r_primes = [], []
         walk, r_prime_at = euclid._runs, euclid._r_prime_at
 
@@ -324,3 +328,26 @@ class TestKnownCost:
         assert t.pivot.index == t.mu and t.after_pivot.index == t.mu + 1
         assert 0 < len(yielded) <= runs <= 4 * a.bit_length()
         assert len(r_primes) <= len(yielded) + a.bit_length() + 1
+
+    @pytest.mark.parametrize("d", [1, -2])
+    def test_a_grid_walks_each_column_once(self, d, monkeypatch):
+        # iter_cells meets the (k, h) cells of a column in a row, so one
+        # (a, d) pair walks the runs once per c, and the run check of
+        # ``aag verify`` reads each table's own runs without a walk.
+        a, grid = 163, Grid(range(163, 164), range(d, d + 1), range(170, 187), range(2, 6), range(1, 5))
+        walks, walk = [], euclid._runs
+
+        def counted_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(euclid, "_runs", counted_walk)
+        euclid._column_runs.cache_clear()
+        skips = Counter()
+        cells = list(iter_cells(grid, a, d, skips, reject=_verify_reject))
+        assert set(skips) <= {"HypothesisViolated", "NotMinimal"}  # every cell validates
+        assert len(cells) > 100
+        assert len(walks) == len({args[2] for args in walks}) == len(grid.c)
+        walks.clear()
+        assert all(verify.euclid_violations(p, t) == [] for p, t in cells)
+        assert walks == []
