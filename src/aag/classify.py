@@ -55,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import oracle
 from .core import AagParams, validate_params
 from .errors import AmbiguousFastPath, FamilyConstraintViolated, MalformedPf
 from .euclid import EuclidRow, EuclidTable, build_table
@@ -622,6 +621,7 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
     if t is None:
         t = build_table(p)
     if p.k < 3 or not t.hypothesis_ok:
+        from . import oracle
         report = oracle.oracle_report(list(p.generators))
         return Classification(
             verdict=VERDICT_ORACLE_ONLY,

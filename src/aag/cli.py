@@ -13,11 +13,12 @@ table     just the negative-remainder division table for one tuple
 oracle    brute-force report for an explicit generator list
 
 Exit codes: 0 success, 1 verification mismatch, 2 validation error,
-64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see ``oracle``), so
-it limits the routes that need the oracle (``OracleOnly`` tuples, ``aag
-oracle``, ``--oracle-verify`` and ``aag verify``); minimality is checked in
-closed form.  It also caps the table rows that ``table``, ``analyze`` and
-``verify`` read (not ``scan``), the ``--apery`` dump and k + 2 generators.
+64 usage error.  ``AAG_MAX_A`` caps the oracle modulus (see
+``core.max_modulus``), so it limits the routes that need the oracle
+(``OracleOnly`` tuples, ``aag oracle``, ``--oracle-verify`` and ``aag
+verify``); minimality is checked in closed form.  It also caps the table
+rows that ``table``, ``analyze`` and ``verify`` read (not ``scan``), the
+``--apery`` dump and k + 2 generators.
 An invalid ``AAG_MAX_A`` exits 2 before any command runs.
 
 Serialization: scans emit JSON-lines (or CSV with the fixed header
@@ -35,32 +36,20 @@ output schema (see ``classify``); they are identifiers, not prose.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from collections import Counter
 from dataclasses import asdict
 from itertools import product
-from multiprocessing import get_context
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import oracle
-from .classify import (
-    VERDICT_ALMOST_SYMMETRIC,
-    VERDICT_NEITHER,
-    VERDICT_ORACLE_ONLY,
-    VERDICT_SYMMETRIC,
-    Classification,
-    classify,
-)
-from .core import AagParams, is_minimal, validate_params
+from .core import AagParams, is_minimal, max_modulus, validate_params
 from .errors import AagError, NonsenseInput
-from .euclid import EuclidTable, build_table, format_table
-from .grobner import families_BCD, family_A
-from .staircase import apery_values, iter_apery_points, require_hypothesis
-from .verify import verify_tuple
 
+if TYPE_CHECKING:
+    from .classify import Classification
+    from .euclid import EuclidTable
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_VALIDATION = 2
@@ -155,8 +144,20 @@ def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, reject):
     cell is dropped, and counted in ``skips`` under the reason, when it
     fails validation (the error's class name), when ``reject(p, t)`` names
     a reason, or when it is not minimal; the minimality check runs last, so
-    rejected cells never pay for it.
+    rejected cells never pay for it.  When d = 0 or gcd(a, d) > 1 every cell
+    fails, for a reason that depends on c only through its sign, so each
+    (k, h) is validated once, with c = 1 standing for every positive c.
     """
+    if d == 0 or math.gcd(a, d) != 1:
+        positive_c = sum(c > 0 for c in grid.c)
+        for k, h in product(grid.k, grid.h):
+            try:
+                validate_params(a, d, h, k, 1, normalize=False, check_minimality=False)
+            except AagError as exc:
+                skips[type(exc).__name__] += positive_c
+            skips["NonsenseInput"] += len(grid.c) - positive_c
+        return
+    from .euclid import build_table
     for c, k, h in product(grid.c, grid.k, grid.h):
         try:
             p = validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
@@ -179,6 +180,8 @@ def _oracle_agrees(p: AagParams, cls: Classification) -> bool:
     An ``OracleOnly`` answer is the oracle's own, so it agrees by
     construction and no second oracle report is built for it.
     """
+    from . import oracle
+    from .classify import VERDICT_ALMOST_SYMMETRIC, VERDICT_NEITHER, VERDICT_ORACLE_ONLY, VERDICT_SYMMETRIC
     if cls.verdict == VERDICT_ORACLE_ONLY:
         return True
     rep = oracle.oracle_report(list(p.generators))
@@ -190,11 +193,8 @@ def _oracle_agrees(p: AagParams, cls: Classification) -> bool:
     return symmetry_ok and (rep.frobenius, rep.type, rep.pf) == (cls.frobenius, cls.type, cls.pf)
 
 
-def _scan_cell(p: AagParams, t: EuclidTable, *, oracle_verify: bool, emit_all: bool):
-    """Classify one validated cell -> its record, or None when it is not emitted."""
-    cls = classify(p, t)
-    if cls.verdict != VERDICT_ALMOST_SYMMETRIC and not emit_all:
-        return None
+def _scan_record(p: AagParams, t: EuclidTable, cls: Classification, oracle_verify: bool) -> dict:
+    """The record of one classified cell."""
     solved = cls.solved or {}
     record = {
         "a": p.a,
@@ -220,6 +220,7 @@ def _scan_cell(p: AagParams, t: EuclidTable, *, oracle_verify: bool, emit_all: b
 
 def _scan_chunk(task):
     """Worker: one (a, d) pair -> (records, skip reasons plus ``"analyzed"``)."""
+    from .classify import VERDICT_ALMOST_SYMMETRIC, classify
     grid, a, d, hypothesis_only, oracle_verify, emit_all = task
 
     def below_hypothesis(p, t):
@@ -229,13 +230,13 @@ def _scan_chunk(task):
     tally: Counter = Counter()
     for p, t in iter_cells(grid, a, d, tally, reject=below_hypothesis):
         try:
-            record = _scan_cell(p, t, oracle_verify=oracle_verify, emit_all=emit_all)
+            cls = classify(p, t)
+            if emit_all or cls.verdict == VERDICT_ALMOST_SYMMETRIC:
+                records.append(_scan_record(p, t, cls, oracle_verify))
         except NonsenseInput as exc:  # the oracle past its cap; other errors end the scan
             tally[type(exc).__name__] += 1
             continue
         tally["analyzed"] += 1
-        if record is not None:
-            records.append(record)
     return records, tally
 
 
@@ -255,6 +256,8 @@ def _verify_chunk(task):
     cell order, so the tally, the failures and the first error raised are
     those of a walk in cell order.
     """
+    from . import oracle
+    from .verify import verify_tuple
     grid, a, d = task
     tally: Counter = Counter()
     cells = list(iter_cells(grid, a, d, tally, reject=_verify_reject))
@@ -295,6 +298,7 @@ def _run_chunks(worker, tasks, workers: int) -> list:
     """Map worker over tasks, preserving submission order exactly."""
     if workers <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
+    from multiprocessing import get_context
     with get_context().Pool(min(workers, len(tasks))) as pool:
         return pool.map(worker, tasks, chunksize=1)
 
@@ -305,6 +309,7 @@ def _run_chunks(worker, tasks, workers: int) -> list:
 
 
 def cmd_scan(args) -> int:
+    from . import classify  # noqa: F401 -- and euclid, once: forked workers inherit them
     grid = _grid(args)
     print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
@@ -320,6 +325,7 @@ def cmd_scan(args) -> int:
         analyzed = skips.pop("analyzed", 0)
 
         if args.format == "csv":
+            import csv
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(RECORD_FIELDS)
             for record in records:
@@ -357,6 +363,7 @@ def cmd_verify(args) -> int:
     print(f"grid: {math.prod(map(len, grid))} tuples", file=sys.stderr)
 
     import numpy  # noqa: F401 -- for the oracle, once: forked workers inherit it
+    from . import verify  # noqa: F401 -- and classify, grobner and oracle, likewise
     tasks = [(grid, a, d) for a, d in product(grid.a, grid.d)]
     failures, tally = _merge_chunks(_run_chunks(_verify_chunk, tasks, args.workers))
     checked = tally.pop("checked", 0)
@@ -376,11 +383,13 @@ def cmd_verify(args) -> int:
 
 def _load_tuple(args, *, normalize: bool = True) -> tuple[AagParams, EuclidTable]:
     """Validate the --a/--d/--h/--k/--c tuple and build its table."""
+    from .euclid import build_table
     p = validate_params(args.a, args.d, args.h, args.k, args.c, normalize=normalize)
     return p, build_table(p)
 
 
 def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
+    from .classify import classify
     cls = classify(p, t)
     report = {
         "params": {"a": args.a, "d": args.d, "h": args.h, "k": args.k, "c": args.c},
@@ -421,7 +430,9 @@ def _analyze_report(args, p: AagParams, t: EuclidTable) -> dict:
 def cmd_analyze(args) -> int:
     p, t = _load_tuple(args)
     if args.apery:
-        cap = oracle.max_modulus()
+        import csv
+        from .staircase import apery_values, iter_apery_points, require_hypothesis
+        cap = max_modulus()
         if p.a > cap:
             # One line per Apery element, a lines, built as one list.
             raise NonsenseInput(
@@ -435,6 +446,7 @@ def cmd_analyze(args) -> int:
             writer.writerow((pt.y, pt.z, value))
         return EXIT_OK
     if args.grobner:
+        from .grobner import families_BCD, family_A
         for binomial in family_A(p) + families_BCD(p, t):
             print(binomial)
         return EXIT_OK
@@ -444,6 +456,7 @@ def cmd_analyze(args) -> int:
         print(json.dumps(_enc(report), indent=2))
         return EXIT_OK
 
+    from .euclid import format_table
     given = report["params"]
     print(
         "tuple: a={a} d={d} h={h} k={k} c={c}".format(**given)
@@ -466,6 +479,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .euclid import format_table
     _, t = _load_tuple(args, normalize=not args.raw)
     print(format_table(t))
     print(
@@ -481,6 +495,7 @@ def cmd_oracle(args) -> int:
         gens = [int(part) for part in args.gens.split(",")]
     except ValueError:
         raise AagError(f"--gens must be comma-separated integers, got {args.gens!r}")
+    from . import oracle
     rep = oracle.oracle_report(gens, args.modulus)
     print(json.dumps(_enc(asdict(rep)), separators=(",", ":")))
     return EXIT_OK
@@ -588,7 +603,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        oracle.max_modulus()  # an invalid AAG_MAX_A ends the run once, not per cell
+        max_modulus()  # an invalid AAG_MAX_A ends the run once, not per cell
         return args.func(args)
     except AagError as exc:
         print(json.dumps({"error": type(exc).__name__, "reason": str(exc)}))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,7 +39,28 @@ from .errors import (
     NonsenseInput,
     NotMinimal,
 )
-from .oracle import max_modulus
+
+DEFAULT_MAX_MODULUS = 1_000_000
+
+
+def max_modulus() -> int:
+    """Size cap: AAG_MAX_A environment variable, a positive integer, default 10**6.
+
+    It caps the oracle modulus, the rows of a division table
+    (``euclid.EuclidTable.rows``; the table's pivot data are not capped),
+    the ``aag analyze --apery`` dump and the generator count k + 2
+    (``validate_params``): the computations whose size grows with a or k.
+    """
+    raw = os.environ.get("AAG_MAX_A")
+    if raw is None:
+        return DEFAULT_MAX_MODULUS
+    try:
+        value = int(raw)
+    except ValueError:
+        raise NonsenseInput(f"AAG_MAX_A must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise NonsenseInput(f"AAG_MAX_A must be a positive integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +132,7 @@ def validate_params(
     that check it later or not at all).  A system of k + 2 > m generators,
     m the smallest, is refused before the generators are built, and so,
     whatever ``check_minimality`` says, is k + 2 above the size cap
-    ``oracle.max_modulus()`` (``AAG_MAX_A``): both checks are O(1).  The
+    ``max_modulus()`` (``AAG_MAX_A``): both checks are O(1).  The
     rest costs O(k) steps, with ``is_minimal``'s bound, whatever a is.
 
     Raises NonsenseInput, NonPositiveGenerator, GcdViolation or NotMinimal.

@@ -47,9 +47,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
-from .core import AagParams
+from .core import AagParams, max_modulus
 from .errors import NonsenseInput, NoPivot
-from .oracle import max_modulus
 
 
 class EuclidRow(NamedTuple):
@@ -111,7 +110,7 @@ class EuclidTable:
         """All rows 0..m+1 (s_{m+1} = 0), a view over ``runs`` built on first read and kept.
 
         Θ(a) time and memory on a long table, so more than AAG_MAX_A + 1
-        rows (``oracle.max_modulus``), counted from the runs, raise
+        rows (``core.max_modulus``), counted from the runs, raise
         ``NonsenseInput`` before any is built; the pivot data do not need them.
         """
         params = self.params

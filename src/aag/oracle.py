@@ -6,7 +6,8 @@ as shortest paths in the residue graph (vertices = residues mod m, one arc per
 generator), and the Frobenius number, pseudo-Frobenius set, type, genus and
 symmetry flags are all read off that table.  No structural theory is used, so
 this module is a fully independent cross-check for the closed-form machinery
-in the rest of the package; it deliberately imports nothing from it.
+in the rest of the package; it imports nothing from it but the error types
+and the size cap ``core.max_modulus``.
 
 The fast path vectorises the shortest-path computation with numpy.  For each
 generator g the residues split into gcd(m, g) cycles under repeated addition
@@ -46,38 +47,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .core import max_modulus
 from .errors import NonPositiveGenerator, NonsenseInput, NotCoprime
-
-DEFAULT_MAX_MODULUS = 1_000_000
 
 # numpy relaxation is used only while m * max(gen) stays below this; the
 # sentinel 2**60 then provably exceeds every candidate value (true values are
 # < m*max(gen) < 2**59, chain extensions add < 2*m*max(gen) < 2**60).
 _NUMPY_SAFE_PRODUCT = 1 << 59
-
-
-def max_modulus() -> int:
-    """Size cap: AAG_MAX_A environment variable, a positive integer, default 10**6.
-
-    It caps the oracle modulus, the rows of a division table
-    (``euclid.EuclidTable.rows``; the table's pivot data are not capped),
-    the ``aag analyze --apery`` dump and the generator count k + 2
-    (``core.validate_params``): the computations whose size grows with a or k.
-    """
-    raw = os.environ.get("AAG_MAX_A")
-    if raw is None:
-        return DEFAULT_MAX_MODULUS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise NonsenseInput(f"AAG_MAX_A must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise NonsenseInput(f"AAG_MAX_A must be a positive integer, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

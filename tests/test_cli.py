@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import pickle
 import re
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from importlib.resources import files
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from aag.cli import (
 )
 from aag.classify import classify
 from aag.core import validate_params
-from aag.errors import InternalDispatchGap
+from aag.errors import AagError, InternalDispatchGap
 from aag.euclid import build_table
 from aag.staircase import frobenius
 from aag.verify import closed_form_violations, verify_tuple
@@ -475,6 +477,26 @@ class TestScan:
         assert (len(kept), skips["NotMinimal"]) == (1428, 1068)
         assert all(is_minimal_generating(list(p.generators)) for p in kept)
 
+    def test_invalid_pairs_keep_each_cells_skip_reason(self):
+        # d = 0 and gcd(a, d) > 1 pairs are settled per (k, h); each cell is
+        # still counted under the reason its own validation gives, also where
+        # a non-positive a, h, k or c or ha + kd <= 0 fails first.
+        grid = Grid(a=range(-2, 9), d=range(-4, 5), c=range(-1, 4), k=range(0, 4), h=range(0, 3))
+        settled_reasons = set()
+        for a, d in product(grid.a, grid.d):
+            walked, expected = Counter(), Counter()
+            list(iter_cells(grid, a, d, walked, reject=lambda p, t: "Kept"))
+            for c, k, h in product(grid.c, grid.k, grid.h):
+                try:
+                    validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
+                    expected["Kept"] += 1
+                except AagError as exc:
+                    expected[type(exc).__name__] += 1
+            assert walked == expected, (a, d)
+            if d == 0 or math.gcd(a, d) > 1:
+                settled_reasons |= set(walked)
+        assert settled_reasons == {"GcdViolation", "NonPositiveGenerator", "NonsenseInput"}
+
     def test_hypothesis_only_is_stricter_than_the_hypothesis(self, capsys):
         # r'_mu < h here, but rho_mu = 0 (k | s_mu), so the staircase
         # hypothesis holds and the tuple is an almost-symmetric record.
@@ -541,7 +563,7 @@ class TestScan:
         def gap(p, t):
             raise InternalDispatchGap("no clause")
 
-        monkeypatch.setattr("aag.cli.classify", gap)
+        monkeypatch.setattr("aag.classify.classify", gap)
         code, out, _ = run_cli(capsys, "scan", *SMALL_GRID)
         assert code == EXIT_VALIDATION
         assert json.loads(out)["error"] == "InternalDispatchGap"
@@ -618,7 +640,7 @@ class TestVerify:
             seen.append(p)
             return verify_tuple(p, t, rep)
 
-        monkeypatch.setattr("aag.cli.verify_tuple", recording_verify_tuple)
+        monkeypatch.setattr("aag.verify.verify_tuple", recording_verify_tuple)
         code, out, _ = run_cli(capsys, "verify", *self.GRID)
         assert code == EXIT_OK
         assert json.loads(out)["mismatches"] == 0
@@ -848,6 +870,13 @@ class TestReadme:
         assert rejected == [], capsys.readouterr().err
 
 
+#: Modules that ``import aag.cli`` leaves to the commands whose routes call them.
+LAZY_MODULES = (
+    "aag.classify", "aag.euclid", "aag.staircase", "aag.pseudofrob", "aag.grobner",
+    "aag.verify", "aag.oracle", "multiprocessing", "csv", "numpy",
+)
+
+
 def child_env() -> dict:
     """This environment with the directory of the imported ``aag`` first
     on PYTHONPATH, so a child interpreter imports the same package."""
@@ -873,25 +902,32 @@ class TestConsoleEntryPoint:
         assert json.loads(proc.stdout)["frobenius"] == 2168
 
     def test_import_loads_no_numpy(self):
-        # numpy is needed only where the oracle builds a table.
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, aag.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, env=child_env(),
-        )
+        # numpy is needed only where the oracle builds a table, and each
+        # command imports the modules of its route: the import loads the core.
+        script = f"import sys, aag.cli; print(*sorted(set({LAZY_MODULES!r}) & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == []
 
-    def test_verify_imports_numpy_before_the_workers_fork(self):
-        # Forked workers inherit the parent's numpy instead of each
-        # importing it on its first oracle table.
+    @pytest.mark.parametrize(
+        "command,loaded",
+        [
+            (("verify", *SMALL_GRID), {"aag.classify", "aag.grobner", "aag.oracle", "aag.verify", "numpy"}),
+            (("scan", *SMALL_GRID), {"aag.classify", "aag.euclid"}),
+        ],
+        ids=["verify", "scan"],
+    )
+    def test_verify_imports_numpy_before_the_workers_fork(self, command, loaded):
+        # Forked workers inherit the parent's modules instead of each
+        # importing them on its first chunk (numpy on its first oracle table).
         script = (
             "import sys, aag.cli\n"
-            "aag.cli._run_chunks = lambda *args: print('numpy' in sys.modules) or []\n"
+            f"aag.cli._run_chunks = lambda *args: print(*set({LAZY_MODULES!r}) & set(sys.modules)) or []\n"
             "aag.cli.main(sys.argv[1:])\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, "verify", *SMALL_GRID, "--workers", "2"],
+            [sys.executable, "-c", script, *command, "--workers", "2"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == "True"
+        assert loaded <= set(proc.stdout.splitlines()[0].split())
