@@ -146,16 +146,18 @@ def iter_cells(grid: Grid, a: int, d: int, skips: Counter, *, reject):
     a reason, or when it is not minimal; the minimality check runs last, so
     rejected cells never pay for it.  When d = 0 or gcd(a, d) > 1 every cell
     fails, for a reason that depends on c only through its sign, so each
-    (k, h) is validated once, with c = 1 standing for every positive c.
+    (k, h) is validated once per sign present, with c = 1 standing for
+    every positive c and c = 0 for every other.
     """
     if d == 0 or math.gcd(a, d) != 1:
         positive_c = sum(c > 0 for c in grid.c)
         for k, h in product(grid.k, grid.h):
-            try:
-                validate_params(a, d, h, k, 1, normalize=False, check_minimality=False)
-            except AagError as exc:
-                skips[type(exc).__name__] += positive_c
-            skips["NonsenseInput"] += len(grid.c) - positive_c
+            for c, count in ((1, positive_c), (0, len(grid.c) - positive_c)):
+                if count:
+                    try:
+                        validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
+                    except AagError as exc:
+                        skips[type(exc).__name__] += count
         return
     from .euclid import build_table
     for c, k, h in product(grid.c, grid.k, grid.h):

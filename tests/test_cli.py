@@ -480,22 +480,40 @@ class TestScan:
     def test_invalid_pairs_keep_each_cells_skip_reason(self):
         # d = 0 and gcd(a, d) > 1 pairs are settled per (k, h); each cell is
         # still counted under the reason its own validation gives, also where
-        # a non-positive a, h, k or c or ha + kd <= 0 fails first.
-        grid = Grid(a=range(-2, 9), d=range(-4, 5), c=range(-1, 4), k=range(0, 4), h=range(0, 3))
+        # a non-positive a, h, k or c or ha + kd <= 0 fails first.  A c range
+        # of one sign, or none, must add no reason with a zero count.
         settled_reasons = set()
-        for a, d in product(grid.a, grid.d):
-            walked, expected = Counter(), Counter()
-            list(iter_cells(grid, a, d, walked, reject=lambda p, t: "Kept"))
-            for c, k, h in product(grid.c, grid.k, grid.h):
-                try:
-                    validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
-                    expected["Kept"] += 1
-                except AagError as exc:
-                    expected[type(exc).__name__] += 1
-            assert walked == expected, (a, d)
-            if d == 0 or math.gcd(a, d) > 1:
-                settled_reasons |= set(walked)
+        for cs in (range(-1, 4), range(1, 4), range(-2, 1), range(0)):
+            grid = Grid(a=range(-2, 9), d=range(-4, 5), c=cs, k=range(0, 4), h=range(0, 3))
+            for a, d in product(grid.a, grid.d):
+                walked, expected = Counter(), Counter()
+                list(iter_cells(grid, a, d, walked, reject=lambda p, t: "Kept"))
+                for c, k, h in product(grid.c, grid.k, grid.h):
+                    try:
+                        validate_params(a, d, h, k, c, normalize=False, check_minimality=False)
+                        expected["Kept"] += 1
+                    except AagError as exc:
+                        expected[type(exc).__name__] += 1
+                assert dict(walked) == dict(expected), (cs, a, d)
+                if d == 0 or math.gcd(a, d) > 1:
+                    settled_reasons |= set(walked)
         assert settled_reasons == {"GcdViolation", "NonPositiveGenerator", "NonsenseInput"}
+
+    def test_gcd_only_grid_explains_only_its_reason(self, capsys):
+        # Every cell has gcd(a, d) = 2 and c > 0: no other reason, not even
+        # one counted zero times, reaches the skip summary.
+        code, out, err = run_cli(
+            capsys, "scan", "--a-min", "4", "--a-max", "4", "--d-min", "2", "--d-max", "2",
+            "--c-min", "5", "--c-max", "6", "--k-min", "1", "--k-max", "2",
+            "--h-min", "1", "--h-max", "1", "--explain-skips",
+        )
+        assert (code, out) == (EXIT_OK, "")
+        assert err.splitlines() == [
+            "grid: 4 tuples",
+            "emitted 0 records; analyzed 0; skipped 4",
+            "skips by reason:",
+            "  GcdViolation: 4",
+        ]
 
     def test_hypothesis_only_is_stricter_than_the_hypothesis(self, capsys):
         # r'_mu < h here, but rho_mu = 0 (k | s_mu), so the staircase
@@ -917,7 +935,7 @@ class TestConsoleEntryPoint:
         ],
         ids=["verify", "scan"],
     )
-    def test_verify_imports_numpy_before_the_workers_fork(self, command, loaded):
+    def test_imports_before_the_workers_fork(self, command, loaded):
         # Forked workers inherit the parent's modules instead of each
         # importing them on its first chunk (numpy on its first oracle table).
         script = (
