@@ -35,11 +35,16 @@ Two routes produce a classification:
   and accept only when the family's membership test holds.  The two routes
   agree everywhere (tested).  The fast route needs no table, but it solves
   one quadratic per ``l`` below ``k``: at (155, 1, 4, 20, 177) it takes
-  41 us, against 9 us for ``build_table`` and 52 us for ``classify`` on
+  37 us, against 6 us for ``build_table`` and 35 us for ``classify`` on
   that table, most of it the membership tests of the nine almost-symmetric
-  families (2-core host, Python 3.11.7, timeit best of 5); only a
-  Symmetric or AlmostSymmetric verdict runs them.  The command line
-  answers through ``classify`` only.
+  families, which only a Symmetric or AlmostSymmetric verdict runs.  At
+  the NeitherSpecial (52217, 225, 1, 17, 106581), ``classify`` takes 10 us
+  and a ``fast_path`` miss 38 us.  So :func:`classify_with_fast_path` runs
+  the full route first, and the fast path only on an AlmostSymmetric
+  verdict or before the oracle.  Given no table, it takes 17 us instead of
+  63 us at that tuple, but 90 us instead of 37 us at (155, 1, 4, 20, 177),
+  which pays both routes (2-core host, Python 3.11.7, timeit best of 5).
+  The command line answers through ``classify`` only.
 
 Both routes match families on the *raw* presentation: parameters that were
 rewritten during validation (d < 0, h = 1) are converted back before
@@ -533,11 +538,11 @@ def _variables(p: AagParams) -> dict[str, int]:
 
 def _is_member(fam: Family, v: dict[str, int]) -> bool:
     """Whether ``v`` -- presentation variables and family parameters --
-    names a member of ``fam``: the stated side conditions hold and the
-    synthesis gives back ``v``'s (a, d, c)."""
-    return not any(
+    names a member of ``fam``: the synthesis gives back ``v``'s (a, d, c),
+    which settles most candidates, and the stated side conditions hold."""
+    return fam.synthesize(**v) == (v["a"], v["d"], v["c"]) and not any(
         violation(**v) for violation in (*fam.requires, *fam.conditions)
-    ) and fam.synthesize(**v) == (v["a"], v["d"], v["c"])
+    )
 
 
 def match_families(
@@ -746,11 +751,16 @@ def fast_path(p: AagParams) -> Classification | None:
 
 
 def classify_with_fast_path(p: AagParams, t: EuclidTable | None = None) -> Classification:
-    """Fast path first, full route (on the caller's table ``t``) on a miss or an ambiguity."""
+    """The full route on the caller's table ``t`` (built when None), with the
+    fast path tried only where it can change the answer: on an
+    AlmostSymmetric verdict, and before the oracle (k < 3 or no hypothesis)."""
+    if t is None:
+        t = build_table(p)
+    full = classify(p, t) if p.k >= 3 and t.hypothesis_ok else None
+    if full is not None and full.verdict != VERDICT_ALMOST_SYMMETRIC:
+        return full
     try:
         hit = fast_path(p)
     except AmbiguousFastPath:
         hit = None
-    if hit is not None:
-        return hit
-    return classify(p, t)
+    return hit or full or classify(p, t)

@@ -38,7 +38,8 @@ table's length.  The runs depend on (a, d, c) alone, so the tables of a
 column share one walk (``_column_runs``, a 32-entry cache of O(log a) runs
 each) and ``EuclidTable.runs`` is that tuple.  ``rows``, a view over it,
 expands every row on first read: Θ(a) time and memory on a long table, the
-one part that the size cap AAG_MAX_A limits, and never cached.
+one part that the size cap AAG_MAX_A limits, kept on its table, never in a
+module cache.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _column_runs(a: int, d: int, c: int) -> tuple[_Run, ...]:
     Rows, quotients and runs depend on (a, d, c) alone; h and k only move
     r' and the pivot.  A grid walk meets a column's (k, h) cells in a row,
     so a few entries serve it, and each holds O(log a) runs.  Rows of a table
-    are never cached.
+    are kept on the table, never here.
     """
     s1 = (c % a) * pow(d % a, -1, a) % a  # the inverse exists because gcd(a, d) = 1
     r1, rem = divmod(s1 * d - c, a)

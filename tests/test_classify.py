@@ -120,6 +120,58 @@ def _assert_agreement(p):
     return full, fast
 
 
+def _fast_first(p, t=None):
+    """The reference order for ``classify_with_fast_path``: fast path first,
+    full route on a miss or an ambiguity."""
+    try:
+        hit = fast_path(p)
+    except AmbiguousFastPath:
+        hit = None
+    if hit is not None:
+        return hit
+    return classify(p, t)
+
+
+def _outcome(route, p, t=None):
+    """The route's whole Classification, or the class of what it raised."""
+    try:
+        return route(p, t)
+    except AagError as exc:
+        return type(exc)
+
+
+# Small ranges for every family parameter; ``_generated_members`` walks the
+# ones a family reads.
+_MEMBER_GRID = {
+    "k": (3, 4, 5),
+    "h": (1, 2),
+    "d": (2, 4),
+    "l": (1, 2),
+    "sigma": (1, 2, 3),
+    "sigma_prime": (2, 3),
+    "p": (1, 2, 3),
+    "p_prime": (2, 3, 4),
+    "r": tuple(range(-5, 3)),
+    "r_hat": (-4, -3, -2),
+}
+
+
+def _generated_members():
+    """(family id, raw tuple) for every ``family_generate`` member whose
+    parameters lie in ``_MEMBER_GRID``."""
+    out = []
+    for fam in FAMILIES:
+        names = ("k", *fam.keys)
+        names += ("h",) if fam.h_default is None else ()
+        names += ("d",) if fam.id == "Thm5.1" else ()
+        for values in product(*(_MEMBER_GRID[name] for name in names)):
+            try:
+                out.append((fam.id, family_generate(fam.id, dict(zip(names, values)))))
+            except AagError:
+                continue
+    return out
+
+
 class TestNariCheck:
     def test_type_two_pair(self):
         assert nari_check([1084, 2168], 2168) is True
@@ -489,6 +541,58 @@ class TestClassifyWithFastPath:
         assert r.fast_path_used is False
         assert (r.verdict, r.family) == (VERDICT_SYMMETRIC, "Thm4.1-case1")
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The log of ``fast_path`` calls, oracle reports and table builds
+        that ``classify_with_fast_path`` makes."""
+        log = []
+
+        def logged(name, inner):
+            def wrapper(*args, **kwargs):
+                log.append(name)
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(classify_module, "fast_path", logged("fast", fast_path))
+        monkeypatch.setattr(oracle, "oracle_report", logged("oracle", oracle.oracle_report))
+        monkeypatch.setattr(classify_module, "build_table", logged("table", build_table))
+        return log
+
+    @pytest.mark.parametrize(
+        "args,verdict,family",
+        [
+            ((999_999_937, 1_861_391, 4, 20, 73_325_467_808), VERDICT_NEITHER, None),
+            ((15, 7, 1, 3, 10), VERDICT_SYMMETRIC, "Thm4.1-case1"),
+        ],
+    )
+    def test_closed_form_answers_without_the_fast_path(self, calls, args, verdict, family):
+        p = validate_params(*args)
+        r = classify_with_fast_path(p)
+        assert (r.verdict, r.family, r.fast_path_used) == (verdict, family, False)
+        assert calls == ["table"]
+        calls.clear()
+        assert classify_with_fast_path(p, build_table(p)) == r
+        assert calls == []  # no table of its own
+
+    @pytest.mark.parametrize("a,d,c,k,h,family,solved,typ,frob", SWEEP_RECORDS)
+    def test_almost_symmetric_verdict_takes_one_fast_path_call(
+        self, calls, a, d, c, k, h, family, solved, typ, frob
+    ):
+        r = classify_with_fast_path(validate_params(a, d, h, k, c))
+        assert (r.family, r.solved, r.type, r.frobenius) == (family, solved, typ, frob)
+        assert r.fast_path_used is True
+        assert calls.count("fast") == 1 and "oracle" not in calls
+
+    def test_hypothesis_violator_tries_the_fast_path_before_the_oracle(
+        self, calls, hypothesis_violator
+    ):
+        p, t = hypothesis_violator
+        assert p.k >= 3 and not t.hypothesis_ok
+        r = classify_with_fast_path(p, t)
+        assert r.verdict == VERDICT_ORACLE_ONLY
+        assert calls == ["fast", "oracle"]
+
 
 class TestAgreementAndSoundness:
     @given(p=valid_params(k_range=(3, 6)))
@@ -521,6 +625,26 @@ class TestAgreementAndSoundness:
                 full.frobenius,
             ), (a, d, c, k, h)
         assert (hits, violators) == (174, 758)
+
+    def test_full_route_first_answers_as_the_fast_path_first(self, verify_grid):
+        # The verify grid (every other table, k from 1 to 6, both
+        # presentations), generated members of every family in both
+        # presentations and the sweep tuples: whole Classifications
+        # (fast_path_used, pf and case_trace too), or the same error class.
+        members = _generated_members()
+        assert {family for family, _ in members} == set(ALL_FAMILIES)
+        cases = list(verify_grid[::2])
+        for _, raw in members:
+            cases += [(raw, None), (validate_params(raw.a, raw.d, raw.h, raw.k, raw.c), None)]
+        for a, d, c, k, h, *_ in SWEEP_RECORDS:
+            for normalize in (False, True):
+                cases.append((validate_params(a, d, h, k, c, normalize=normalize), None))
+        hits = 0
+        for p, t in cases:
+            reference = _outcome(_fast_first, p, t)
+            assert _outcome(classify_with_fast_path, p, t) == reference, p
+            hits += getattr(reference, "fast_path_used", False)
+        assert (len(members), len(cases), hits) == (995, 13_439, 1_004)
 
     @given(p=valid_params(a_range=(5, 80), c_range=(3, 150), k_range=(2, 6)))
     @settings(max_examples=80, deadline=None)
@@ -564,6 +688,13 @@ class TestKnownCost:
             tracemalloc.stop()
         assert (cls.verdict, cls.frobenius, cls.type) == (VERDICT_NEITHER, 192_304_692_302, 2)
         assert peak < 1 << 20
+
+    def test_long_table_takes_the_closed_form_with_the_fast_path(self):
+        # The same 999,984-row NeitherSpecial table through the library
+        # entry point: the closed form answers, and the fast path never runs.
+        cls = classify_with_fast_path(validate_params(999_983, 1, 4, 20, 4_999_914))
+        assert (cls.verdict, cls.frobenius, cls.type) == (VERDICT_NEITHER, 192_304_692_302, 2)
+        assert cls.fast_path_used is False
 
     @pytest.mark.parametrize(
         "a,frobenius",
