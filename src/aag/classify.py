@@ -25,26 +25,21 @@ prose.
 
 Two routes produce a classification:
 
-* :func:`classify` -- the full route: build the table, compute the
-  pseudo-Frobenius families, run the pairing check, then read each
-  candidate family's parameters off the pivot rows and run its membership
-  test.
+* :func:`classify` -- the full route, which also decides when the oracle
+  answers: build the table, compute the pseudo-Frobenius families, run the
+  pairing check, then read each candidate family's parameters off the
+  pivot rows and run its membership test.
 * :func:`fast_path` -- the quadratic route: for each almost-symmetric
   family, take ``p`` from its quadratic (or linear) equation in exact
   integer arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``,
   and accept only when the family's membership test holds.  The two routes
-  agree everywhere (tested).  The fast route needs no table, but it solves
-  one quadratic per ``l`` below ``k``: at (155, 1, 4, 20, 177) it takes
-  37 us, against 6 us for ``build_table`` and 35 us for ``classify`` on
-  that table, most of it the membership tests of the nine almost-symmetric
-  families, which only a Symmetric or AlmostSymmetric verdict runs.  At
-  the NeitherSpecial (52217, 225, 1, 17, 106581), ``classify`` takes 10 us
-  and a ``fast_path`` miss 38 us.  So :func:`classify_with_fast_path` runs
-  the full route first, and the fast path only on an AlmostSymmetric
-  verdict or before the oracle.  Given no table, it takes 17 us instead of
-  63 us at that tuple, but 90 us instead of 37 us at (155, 1, 4, 20, 177),
-  which pays both routes (2-core host, Python 3.11.7, timeit best of 5).
-  The command line answers through ``classify`` only.
+  agree everywhere (tested).  It needs no table, but a miss costs more
+  than ``classify``: it solves one quadratic per ``l`` below ``k``, 38 us
+  against 10 us at the NeitherSpecial (52217, 225, 1, 17, 106581) (2-core
+  host, Python 3.11.7, timeit best of 5).  So
+  :func:`classify_with_fast_path` runs the full route first, and the fast
+  path only on an AlmostSymmetric verdict.  The command line answers
+  through ``classify`` only.
 
 Both routes match families on the *raw* presentation: parameters that were
 rewritten during validation (d < 0, h = 1) are converted back before
@@ -56,6 +51,7 @@ either presentation.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -592,6 +588,11 @@ def family_generate(family: str, params: dict[str, int]) -> AagParams:
     """
     fam = _family(family)
     v = dict(params) if fam.h_default is None else {"h": fam.h_default, **params}
+    # Each callable names the variables it reads and takes the rest as ``**_``.
+    reads = (*fam.requires, *fam.conditions, fam.synthesize)
+    missing = {name for fn in reads for name in inspect.signature(fn).parameters} - {"_", *v}
+    if missing:
+        raise FamilyConstraintViolated(f"{family}: missing {', '.join(sorted(missing))}")
     for violation in (*fam.requires, *fam.conditions):
         message = violation(**v)
         if message is not None:
@@ -631,10 +632,8 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
         return Classification(
             verdict=VERDICT_ORACLE_ONLY,
             family=None,
-            solved={},
             type=report.type,
             frobenius=report.frobenius,
-            fast_path_used=False,
             pf=report.pf,
         )
 
@@ -642,23 +641,16 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
     frob = frobenius(p, t)
     # nari_check raises MalformedPf unless max PF = F, whatever the type.
     if not nari_check(list(result.pf_numbers), frob):
-        return Classification(
-            verdict=VERDICT_NEITHER,
-            family=None,
-            solved={},
-            type=result.type,
-            frobenius=frob,
-            fast_path_used=False,
-            pf=result.pf_numbers,
-            case_trace=result.case_trace,
-        )
-    if result.type == 1:
+        verdict, candidates = VERDICT_NEITHER, ()
+    elif result.type == 1:
         verdict, candidates = VERDICT_SYMMETRIC, SYMMETRIC_FAMILIES
     else:
         verdict, candidates = VERDICT_ALMOST_SYMMETRIC, ALMOST_SYMMETRIC_FAMILIES
 
-    raw = _raw_presentation(p)
-    hits = match_families(raw, t if raw is p else build_table(raw), candidates)
+    hits = []
+    if candidates:
+        raw = _raw_presentation(p)
+        hits = match_families(raw, t if raw is p else build_table(raw), candidates)
     family, solved = hits[0] if hits else (None, {})
     return Classification(
         verdict=verdict,
@@ -666,7 +658,6 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
         solved=solved,
         type=result.type,
         frobenius=frob,
-        fast_path_used=False,
         pf=result.pf_numbers,
         case_trace=result.case_trace,
     )
@@ -714,9 +705,10 @@ def fast_path(p: AagParams) -> Classification | None:
     """Almost-symmetric classification by exact quadratic/linear solving.
 
     Returns the unique fully-consistent family hit as a Classification, or
-    None when no family's equations admit a consistent integer solution
-    (the caller then falls back to :func:`classify`).  Two distinct
-    consistent hits raise ``AmbiguousFastPath``.
+    None when no family's equations admit a consistent integer solution,
+    and always for k < 3.  Two distinct consistent hits raise
+    ``AmbiguousFastPath``.  :func:`classify_with_fast_path` calls it only
+    on an AlmostSymmetric verdict of :func:`classify`.
     """
     p = _raw_presentation(p)
     if p.k < 3:
@@ -751,16 +743,13 @@ def fast_path(p: AagParams) -> Classification | None:
 
 
 def classify_with_fast_path(p: AagParams, t: EuclidTable | None = None) -> Classification:
-    """The full route on the caller's table ``t`` (built when None), with the
-    fast path tried only where it can change the answer: on an
-    AlmostSymmetric verdict, and before the oracle (k < 3 or no hypothesis)."""
-    if t is None:
-        t = build_table(p)
-    full = classify(p, t) if p.k >= 3 and t.hypothesis_ok else None
-    if full is not None and full.verdict != VERDICT_ALMOST_SYMMETRIC:
+    """:func:`classify` on the caller's table ``t`` (built when None), with
+    the fast path tried only where it can change the answer: on an
+    AlmostSymmetric verdict.  A miss or an ambiguity keeps that answer."""
+    full = classify(p, t)
+    if full.verdict != VERDICT_ALMOST_SYMMETRIC:
         return full
     try:
-        hit = fast_path(p)
+        return fast_path(p) or full
     except AmbiguousFastPath:
-        hit = None
-    return hit or full or classify(p, t)
+        return full

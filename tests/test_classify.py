@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import tracemalloc
 from importlib.resources import files
 from itertools import product
@@ -489,6 +490,9 @@ class TestFamilyGenerateConstraints:
             ("Thm4.1-case1",
              {"h": 2, "k": 3, "sigma": 1, "p": 1, "p_prime": 2, "r": -3, "r_hat": -3},
              r"need r \+ h\*sigma >= 0, got -1"),
+            ("Thm5.2", {"k": 3}, "missing h, p, sigma$"),
+            ("Thm5.4-(iv)", {"k": 3, "p": 2}, "missing r$"),
+            ("Thm5.1", {"k": 3}, "missing d$"),
         ],
     )
     def test_stated_constraints_enforced(self, family, params, fragment):
@@ -584,14 +588,15 @@ class TestClassifyWithFastPath:
         assert r.fast_path_used is True
         assert calls.count("fast") == 1 and "oracle" not in calls
 
-    def test_hypothesis_violator_tries_the_fast_path_before_the_oracle(
-        self, calls, hypothesis_violator
-    ):
-        p, t = hypothesis_violator
-        assert p.k >= 3 and not t.hypothesis_ok
-        r = classify_with_fast_path(p, t)
-        assert r.verdict == VERDICT_ORACLE_ONLY
-        assert calls == ["fast", "oracle"]
+    def test_oracle_route_makes_no_fast_path_call(self, calls, hypothesis_violator):
+        # A k >= 3 tuple whose table fails the hypothesis, and a k = 2 tuple:
+        # the oracle answers both, and the fast path is never asked.
+        k2 = validate_params(155, 1, 4, 2, 177)
+        for p, t in (hypothesis_violator, (k2, build_table(k2))):
+            calls.clear()
+            r = classify_with_fast_path(p, t)
+            assert r.verdict == VERDICT_ORACLE_ONLY
+            assert calls == ["oracle"]
 
 
 class TestAgreementAndSoundness:
@@ -645,6 +650,23 @@ class TestAgreementAndSoundness:
             assert _outcome(classify_with_fast_path, p, t) == reference, p
             hits += getattr(reference, "fast_path_used", False)
         assert (len(members), len(cases), hits) == (995, 13_439, 1_004)
+
+    def test_fast_path_misses_a_battery_of_hypothesis_violators(self):
+        # Outside the hypothesis the family claims can fail, so a fast-path
+        # hit there would be an unchecked answer.  h >= 2 only: every table
+        # with h = 1 satisfies the hypothesis.
+        rng = random.Random(30)
+        violators = []
+        while len(violators) < 2_000:
+            a, k, h = rng.randint(5, 3_000), rng.randint(3, 25), rng.randint(2, 5)
+            d, c = rng.randint(-a, a), rng.randint(2, 2 * h * a)
+            try:
+                p = validate_params(a, d, h, k, c)
+            except AagError:
+                continue
+            if not build_table(p).hypothesis_ok:
+                violators.append(p)
+        assert [p for p in violators if fast_path(p) is not None] == []
 
     @given(p=valid_params(a_range=(5, 80), c_range=(3, 150), k_range=(2, 6)))
     @settings(max_examples=80, deadline=None)
