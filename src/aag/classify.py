@@ -12,16 +12,16 @@ A validated parameter tuple is classified from its Euclidean table alone:
 
 Symmetric and almost-symmetric semigroups belong to thirteen closed-form
 families.  Each family is one theorem, held as one :class:`Family` record in
-the ordered registry :data:`FAMILIES`: where its parameters sit on the two
-table rows around the pivot, its type and Frobenius formulas, its stated
-side conditions, its (a, d, c) synthesis and, for almost-symmetric families,
-the equation that pins the column count ``p``.  A tuple is a member exactly
-when the family's parameters pass its side conditions and its synthesis
-gives back the tuple's (a, d, c): both routes below match a family by that
-one test, and ``family_generate`` builds members from the same conditions
-and synthesis.  The family id strings are the stable output vocabulary of
-this package: downstream consumers match on them, so they are data, not
-prose.
+the ordered registry :data:`FAMILIES`: its declared parameters, where they
+sit on the two table rows around the pivot, its type and Frobenius
+formulas, its stated side conditions, its (a, d, c) synthesis and, for
+almost-symmetric families, the equation that pins the column count ``p``.
+A tuple is a member exactly when the family's parameters pass its side
+conditions and its synthesis gives back the tuple's (a, d, c): both routes
+below match a family by that one test, and ``family_generate`` builds
+members from the same conditions and synthesis.  The family id strings are
+the stable output vocabulary of this package: downstream consumers match
+on them, so they are data, not prose.
 
 Two routes produce a classification:
 
@@ -30,13 +30,13 @@ Two routes produce a classification:
   pairing check, then read each candidate family's parameters off the
   pivot rows and run its membership test.
 * :func:`fast_path` -- the quadratic route: for each almost-symmetric
-  family, take ``p`` from its quadratic (or linear) equation in exact
-  integer arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``,
-  and accept only when the family's membership test holds.  The two routes
-  agree everywhere (tested).  It needs no table, but a miss costs more
-  than ``classify``: it solves one quadratic per ``l`` below ``k``, 38 us
-  against 10 us at the NeitherSpecial (52217, 225, 1, 17, 106581) (2-core
-  host, Python 3.11.7, timeit best of 5).  So
+  family that admits the tuple's (h, k, d), settled once per shape, take
+  ``p`` from its quadratic (or linear) equation in exact integer
+  arithmetic, back-solve ``sigma`` and ``r`` from ``a`` and ``d``, and
+  accept only when the family's membership test holds.  The two routes
+  agree everywhere (tested).  It needs no table, but a miss solves every
+  admissible family's equations: k - 1 quadratics for Thm5.3-(i), k - 3
+  for Thm5.4-(i) and at most one for each other family.  So
   :func:`classify_with_fast_path` runs the full route first, and the fast
   path only on an AlmostSymmetric verdict.  The command line answers
   through ``classify`` only.
@@ -51,10 +51,11 @@ either presentation.
 
 from __future__ import annotations
 
-import inspect
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import AagParams, validate_params
 from .errors import AmbiguousFastPath, FamilyConstraintViolated, MalformedPf
@@ -120,60 +121,60 @@ def _raw_presentation(p: AagParams) -> AagParams:
     """
     if not p.normalized:
         return p
-    return AagParams(
-        a=p.a + p.k * p.d,
-        d=-p.d,
-        h=p.h,
-        k=p.k,
-        c=p.c,
-        generators=(*reversed(p.arithmetic_part()), p.c),
-    )
+    generators = (*reversed(p.arithmetic_part()), p.c)
+    return AagParams(a=p.a + p.k * p.d, d=-p.d, h=p.h, k=p.k, c=p.c, generators=generators)
 
 
 # ---------------------------------------------------------------------------
 # The family registry.
 # ---------------------------------------------------------------------------
 
-#: A stated side condition: None when it holds for the variables, else the
-#: message that ``family_generate`` raises.
-Condition = Callable[..., str | None]
+#: The presentation the formulas and ``solve`` read, with a_i = h*a + i*d.
+_Presentation = namedtuple("_Presentation", "a d h k c a1 a2 ak")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """One classification theorem.
 
-    ``read`` takes the pivot row and the row after it and returns the values
-    of ``keys`` there.  Every other callable takes the family's variables as
-    keywords and ignores the rest: the presentation ``a, d, h, k, c`` with
-    ``a1 = ha + d``, ``a2 = ha + 2d``, ``ak = ha + kd``, and the family
-    parameters among ``l, sigma, sigma_prime, p, p_prime, r, r_hat``.
-
-    The stated side conditions are split into ``requires`` (on ``h``, ``k``
-    and, for one family, ``d``: which presentations the family covers) and
-    ``conditions`` (on the family parameters); ``family_generate`` checks
-    them in that order.  ``synthesize`` gives the member's ``(a, d, c)``; a
-    tuple is a member exactly when its parameters pass both kinds of
-    condition and synthesize back to its ``(a, d, c)`` (:func:`_is_member`).
-    ``a`` is affine in ``sigma`` and ``d`` is affine in ``r``, which is what
-    lets the fast path back-solve both.  ``solve`` (almost-symmetric
-    families only) lists the candidate values of ``p``, with ``l`` where the
-    family has one, for a presentation; ``fast_guard`` is an extra
-    fast-path-only acceptance test.
+    ``params`` declares the family's parameters once, in order: ``h``, ``k``
+    (and ``d`` for Thm5.1), then ``keys``, the ones ``Classification.solved``
+    reports.  ``synthesize``, ``conditions`` and ``fast_guard`` take their
+    values positionally, ``read`` gives the ``keys`` values on the pivot row
+    and the next, and the formulas (a type of 1 unless given) take a
+    ``_Presentation`` and those.  The stated side conditions are
+    ``requires`` (each on ``(h, k, d)``: which presentations the family
+    covers) and ``conditions`` (on ``params``); each gives the first
+    violation's message or None, and ``family_generate`` checks them in
+    that order.  A tuple is a member exactly when its parameters pass both
+    and ``synthesize`` gives back its ``(a, d, c)`` (:func:`_is_member`).
+    ``a`` is affine in ``sigma`` and free of ``r``, and ``d`` is affine in
+    both (tested): the fast path back-solves them for each candidate
+    ``solve`` lists (``params`` values with ``p``, and ``l``, pinned and
+    ``sigma`` and ``r`` at 0) and accepts what ``fast_guard`` passes too.
     """
 
     id: str
     symmetric: bool
-    keys: tuple[str, ...]
+    params: tuple[str, ...]
     read: Callable[[EuclidRow, EuclidRow], tuple[int, ...]]
-    t_formula: Callable[..., int]
     f_formula: Callable[..., int]
-    requires: tuple[Condition, ...]
-    conditions: tuple[Condition, ...]
+    requires: tuple[Callable[[int, int, int], str | None], ...]
     synthesize: Callable[..., tuple[int, int, int]]
+    t_formula: Callable[..., int] = lambda g, *_: 1
+    conditions: Callable[..., str | None] = lambda *_: None
     h_default: int | None = 1
-    solve: Callable[..., list[dict[str, int]]] | None = None
-    fast_guard: Callable[..., bool] | None = None
+    solve: Callable[[_Presentation], list[tuple[int, ...]]] | None = None
+    fast_guard: Callable[..., bool] = lambda *_: True
+    keys: tuple[str, ...] = field(init=False)
+    sigma_at: int | None = field(init=False)
+    r_at: int | None = field(init=False)
+
+    def __post_init__(self):
+        keys = tuple(name for name in self.params if name not in ("h", "k", "d"))
+        at = {name: self.params.index(name) for name in ("sigma", "r") if name in keys}
+        for name, value in ("keys", keys), ("sigma_at", at.get("sigma")), ("r_at", at.get("r")):
+            object.__setattr__(self, name, value)
 
 
 def _integer_roots(kc: int, b: int, constant: int) -> list[int]:
@@ -204,41 +205,32 @@ def _exact(numerator: int, denominator: int) -> list[int]:
     return [numerator // denominator]
 
 
-_K3 = lambda k, **_: None if k >= 3 else f"requires k >= 3, got {k}"
-_H1 = lambda h, **_: None if h == 1 else "requires h = 1"
-_H_POSITIVE = lambda h, **_: None if h >= 1 else f"requires h >= 1, got {h}"
-_SIGMA1 = lambda sigma, **_: None if sigma >= 1 else f"sigma must be >= 1, got {sigma}"
-_SIGMA2 = lambda sigma, **_: None if sigma >= 2 else f"sigma must be >= 2, got {sigma}"
-_P2 = lambda p, **_: None if p >= 2 else f"p must be >= 2, got {p}"
-_P_ORDERED = lambda p, p_prime, **_: None if p_prime > p > 0 else "need p_prime > p > 0"
-_R_SHIFTED = lambda r, h, sigma, **_: (
-    None if r + h * (sigma + 1) > 0 else "need r + h*(sigma+1) > 0"
-)
-_R_BELOW_H = lambda r, h, **_: None if r < -h else f"need r < -h, got {r}"
+_K3 = lambda h, k, d: None if k >= 3 else f"requires k >= 3, got {k}"
+_H1 = lambda h, k, d: None if h == 1 else "requires h = 1"
+_H_POSITIVE = lambda h, k, d: None if h >= 1 else f"requires h >= 1, got {h}"
+_SIGMA1 = lambda sigma: None if sigma >= 1 else f"sigma must be >= 1, got {sigma}"
+_SIGMA2 = lambda sigma: None if sigma >= 2 else f"sigma must be >= 2, got {sigma}"
+_P2 = lambda p: None if p >= 2 else f"p must be >= 2, got {p}"
+_P_ORDERED = lambda p, p_prime: None if p_prime > p > 0 else "need p_prime > p > 0"
+_R_SHIFTED = lambda h, sigma, r: None if r + h * (sigma + 1) > 0 else "need r + h*(sigma+1) > 0"
+_R_BELOW_H = lambda h, r: None if r < -h else f"need r < -h, got {r}"
 
 FAMILIES: tuple[Family, ...] = (
     Family(
         id="Thm4.1-case1",
         symmetric=True,
-        keys=("sigma", "p", "p_prime", "r", "r_hat"),
+        params=("h", "k", "sigma", "p", "p_prime", "r", "r_hat"),
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r, nxt.r),
-        t_formula=lambda **_: 1,
-        f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: a1 + sigma * ak + c * (p_prime - 1) - a,
+        f_formula=lambda g, sigma, p, p_prime, *_: g.a1 + sigma * g.ak + g.c * (p_prime - 1) - g.a,
         requires=(_K3,),
-        conditions=(
-            _SIGMA1,
-            lambda p, p_prime, **_: (
-                None if 1 <= p < p_prime else f"need 1 <= p < p_prime, got {p}, {p_prime}"
-            ),
-            lambda r_hat, **_: None if r_hat < -1 else f"r_hat must be < -1, got {r_hat}",
-            lambda p_prime, r_hat, **_: (
-                None if math.gcd(p_prime, r_hat) == 1 else "gcd(p_prime, r_hat) must be 1"
-            ),
-            lambda r, h, sigma, **_: (
-                None if r + h * sigma >= 0 else f"need r + h*sigma >= 0, got {r + h * sigma}"
-            ),
+        conditions=lambda h, k, sigma, p, p_prime, r, r_hat: (
+            _SIGMA1(sigma)
+            or (None if 1 <= p < p_prime else f"need 1 <= p < p_prime, got {p}, {p_prime}")
+            or (None if r_hat < -1 else f"r_hat must be < -1, got {r_hat}")
+            or (None if math.gcd(p_prime, r_hat) == 1 else "gcd(p_prime, r_hat) must be 1")
+            or (None if r + h * sigma >= 0 else f"need r + h*sigma >= 0, got {r + h * sigma}")
         ),
-        synthesize=lambda k, sigma, p, p_prime, r, r_hat, **_: (
+        synthesize=lambda h, k, sigma, p, p_prime, r, r_hat: (
             (sigma * k + 2) * p_prime,
             p_prime * r - p * r_hat,
             -(sigma * k + 2) * r_hat,
@@ -247,21 +239,18 @@ FAMILIES: tuple[Family, ...] = (
     Family(
         id="Thm4.1-case2",
         symmetric=True,
-        keys=("sigma", "sigma_prime", "p", "p_prime", "r"),
+        params=("h", "k", "sigma", "sigma_prime", "p", "p_prime", "r"),
         read=lambda piv, nxt: (piv.sigma, nxt.sigma, piv.p, nxt.p, piv.r),
-        t_formula=lambda **_: 1,
-        f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
-            a1 + sigma * ak + c * (p_prime - p - 1) - a
+        f_formula=lambda g, sigma, _, p, p_prime, r: (
+            g.a1 + sigma * g.ak + g.c * (p_prime - p - 1) - g.a
         ),
         requires=(_K3,),
-        conditions=(
-            lambda sigma, sigma_prime, **_: (
-                None if sigma >= sigma_prime >= 2 else "need sigma >= sigma_prime >= 2"
-            ),
-            _P_ORDERED,
-            _R_SHIFTED,
+        conditions=lambda h, k, sigma, sigma_prime, p, p_prime, r: (
+            (None if sigma >= sigma_prime >= 2 else "need sigma >= sigma_prime >= 2")
+            or _P_ORDERED(p, p_prime)
+            or _R_SHIFTED(h, sigma, r)
         ),
-        synthesize=lambda h, k, sigma, sigma_prime, p, p_prime, r, **_: (
+        synthesize=lambda h, k, sigma, sigma_prime, p, p_prime, r: (
             (sigma * k + 2) * p_prime - sigma_prime * k * p,
             p_prime * r + p * h * sigma_prime,
             sigma_prime * k * r + (sigma * k + 2) * sigma_prime * h,
@@ -270,15 +259,16 @@ FAMILIES: tuple[Family, ...] = (
     Family(
         id="Thm4.1-case3",
         symmetric=True,
-        keys=("sigma", "p", "p_prime", "r"),
+        params=("h", "k", "sigma", "p", "p_prime", "r"),
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, piv.r),
-        t_formula=lambda **_: 1,
-        f_formula=lambda a, a1, ak, c, sigma, p, p_prime, **_: (
-            a1 + sigma * ak + c * (p_prime - p - 1) - a
+        f_formula=lambda g, sigma, p, p_prime, r: (
+            g.a1 + sigma * g.ak + g.c * (p_prime - p - 1) - g.a
         ),
         requires=(_K3,),
-        conditions=(_SIGMA1, _P_ORDERED, _R_SHIFTED),
-        synthesize=lambda h, k, sigma, p, p_prime, r, **_: (
+        conditions=lambda h, k, sigma, p, p_prime, r: (
+            _SIGMA1(sigma) or _P_ORDERED(p, p_prime) or _R_SHIFTED(h, sigma, r)
+        ),
+        synthesize=lambda h, k, sigma, p, p_prime, r: (
             (sigma * k + 2) * p_prime - (sigma * k + 1) * p,
             p_prime * r + p * h * (sigma + 1),
             (sigma * k + 1) * r + (sigma * k + 2) * (sigma + 1) * h,
@@ -287,19 +277,18 @@ FAMILIES: tuple[Family, ...] = (
     Family(
         id="Thm4.1-case4",
         symmetric=True,
-        keys=("sigma", "p", "p_prime", "r_hat"),
+        params=("h", "k", "sigma", "p", "p_prime", "r_hat"),
         read=lambda piv, nxt: (piv.sigma, piv.p, nxt.p, nxt.r),
-        t_formula=lambda **_: 1,
-        f_formula=lambda a, a1, ak, c, sigma, p_prime, **_: (
-            a1 + (sigma - 1) * ak + c * (p_prime - 1) - a
+        f_formula=lambda g, sigma, p, p_prime, _: (
+            g.a1 + (sigma - 1) * g.ak + g.c * (p_prime - 1) - g.a
         ),
         requires=(_K3,),
-        conditions=(
-            _SIGMA1,
-            _P_ORDERED,
-            lambda r_hat, h, **_: None if r_hat < -h else f"need r_hat < -h, got {r_hat}",
+        conditions=lambda h, k, sigma, p, p_prime, r_hat: (
+            _SIGMA1(sigma)
+            or _P_ORDERED(p, p_prime)
+            or (None if r_hat < -h else f"need r_hat < -h, got {r_hat}")
         ),
-        synthesize=lambda h, k, sigma, p, p_prime, r_hat, **_: (
+        synthesize=lambda h, k, sigma, p, p_prime, r_hat: (
             (sigma * k + 1) * p_prime - (k - 1) * p,
             -p_prime * h * sigma - p * r_hat,
             -(k - 1) * h * sigma - (sigma * k + 1) * r_hat,
@@ -309,64 +298,65 @@ FAMILIES: tuple[Family, ...] = (
         # F = k*d; (a, d, c) pins the member, there is nothing to solve.
         id="Thm5.1",
         symmetric=False,
-        keys=(),
+        params=("h", "k", "d"),
         read=lambda piv, nxt: (),
-        t_formula=lambda k, **_: k + 1,
-        f_formula=lambda k, d, **_: k * d,
+        t_formula=lambda g: g.k + 1,
+        f_formula=lambda g: g.k * g.d,
         requires=(
             _H1,
-            lambda k, **_: None if k >= 3 and k % 2 == 1 else f"k must be odd and >= 3, got {k}",
-            lambda d, **_: (
+            lambda h, k, d: None if k >= 3 and k % 2 == 1 else f"k must be odd and >= 3, got {k}",
+            lambda h, k, d: (
                 None if d >= 2 and d % 2 == 0 else f"d must be a positive even number, got {d}"
             ),
         ),
-        conditions=(),
-        synthesize=lambda k, d, **_: (k + 2, d, k + 2 + (d // 2) * k),
-        solve=lambda **_: [{}],
+        synthesize=lambda h, k, d: (k + 2, d, k + 2 + (d // 2) * k),
+        solve=lambda g: [(g.h, g.k, g.d)],
     ),
     Family(
         # F = 3a1 - 2a2 - ak; c and d together pin p.
         id="Thm5.2",
         symmetric=False,
-        keys=("sigma", "p"),
+        params=("h", "k", "sigma", "p"),
         read=lambda piv, nxt: (piv.sigma, nxt.p),
-        t_formula=lambda k, **_: k + 1,
-        f_formula=lambda a1, a2, ak, **_: 3 * a1 - 2 * a2 - ak,
-        requires=(lambda h, **_: None if h >= 2 else f"requires h >= 2, got {h}", _K3),
-        conditions=(_SIGMA1, _P2),
-        synthesize=lambda h, k, sigma, p, **_: (
+        t_formula=lambda g, *_: g.k + 1,
+        f_formula=lambda g, *_: 3 * g.a1 - 2 * g.a2 - g.ak,
+        requires=(lambda h, k, d: None if h >= 2 else f"requires h >= 2, got {h}", _K3),
+        conditions=lambda h, k, sigma, p: _SIGMA1(sigma) or _P2(p),
+        synthesize=lambda h, k, sigma, p: (
             (sigma * k + 1) * p - sigma * k,
             1 - h * sigma * (p - 1),
             h * sigma + sigma * k + 1,
         ),
         h_default=None,
-        solve=lambda d, h, k, c, **_: [
-            {"p": 1 + q} for q in _exact((1 - d) * (h + k), h * (c - 1))
+        solve=lambda g: [
+            (g.h, g.k, 0, 1 + q) for q in _exact((1 - g.d) * (g.h + g.k), g.h * (g.c - 1))
         ],
     ),
     Family(
         id="Thm5.3-(i)",
         symmetric=False,
-        keys=("l", "sigma", "p", "r"),
+        params=("h", "k", "l", "sigma", "p", "r"),
         read=lambda piv, nxt: (nxt.rho, piv.sigma, nxt.p, piv.r),
-        t_formula=lambda k, l, **_: k - l + 1,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
+        t_formula=lambda g, l, *_: g.k - l + 1,
+        f_formula=lambda g, l, sigma, p, r: g.a1 + sigma * g.ak + (p - 2) * g.c - g.a,
         requires=(_H1, _K3),
-        conditions=(
-            lambda l, k, **_: None if 1 <= l <= k - 1 else f"need 1 <= l <= k-1, got l={l}",
-            lambda sigma, p, **_: None if sigma >= 2 and p >= 2 else "need sigma >= 2 and p >= 2",
-            lambda r, sigma, **_: None if r > -(sigma + 1) else f"need r > -(sigma+1), got {r}",
+        conditions=lambda h, k, l, sigma, p, r: (
+            (None if 1 <= l <= k - 1 else f"need 1 <= l <= k-1, got l={l}")
+            or (None if sigma >= 2 and p >= 2 else "need sigma >= 2 and p >= 2")
+            or (None if r > -(sigma + 1) else f"need r > -(sigma+1), got {r}")
         ),
-        synthesize=lambda k, l, sigma, p, r, **_: (
+        synthesize=lambda h, k, l, sigma, p, r: (
             (sigma * k + 2) * p - ((sigma - 1) * k + l),
             p * r + sigma,
             ((sigma - 1) * k + l) * r + (sigma * k + 2) * sigma,
         ),
-        solve=lambda a, d, k, c, ak, **_: [
-            {"l": l, "p": p}
-            for l in range(1, k)
+        solve=lambda g: [
+            (g.h, g.k, l, 0, p, 0)
+            for l in range(1, g.k)
             for p in _integer_roots(
-                k * c, k * (c + a + l * d - ak) - 2 * ak, ak * (a + l) - k * (a + l * d)
+                g.k * g.c,
+                g.k * (g.c + g.a + l * g.d - g.ak) - 2 * g.ak,
+                g.ak * (g.a + l) - g.k * (g.a + l * g.d),
             )
         ],
     ),
@@ -374,132 +364,141 @@ FAMILIES: tuple[Family, ...] = (
         # The two-column family with t = 2.
         id="Thm5.3-(ii)",
         symmetric=False,
-        keys=("sigma", "p", "r"),
+        params=("h", "k", "sigma", "p", "r"),
         read=lambda piv, nxt: (piv.sigma, nxt.p, piv.r),
-        t_formula=lambda **_: 2,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 2) * c - a,
+        t_formula=lambda g, *_: 2,
+        f_formula=lambda g, sigma, p, r: g.a1 + sigma * g.ak + (p - 2) * g.c - g.a,
         requires=(_H_POSITIVE, _K3),
-        conditions=(
-            lambda sigma, p, **_: None if sigma >= 1 and p >= 2 else "need sigma >= 1 and p >= 2",
-            lambda r, h, sigma, **_: (
-                None if r > -h * (sigma + 1) - 1 else f"need r > -h*(sigma+1)-1, got {r}"
-            ),
+        conditions=lambda h, k, sigma, p, r: (
+            (None if sigma >= 1 and p >= 2 else "need sigma >= 1 and p >= 2")
+            or (None if r > -h * (sigma + 1) - 1 else f"need r > -h*(sigma+1)-1, got {r}")
         ),
-        synthesize=lambda h, k, sigma, p, r, **_: (
+        synthesize=lambda h, k, sigma, p, r: (
             (sigma * k + 2) * p - (sigma * k + 1),
             p * r + h * (sigma + 1) + 1,
             (sigma * k + 1) * r + (sigma * k + 2) * (h * (sigma + 1) + 1),
         ),
         h_default=None,
-        solve=lambda a, k, c, a1, ak, **_: [
-            {"p": p}
-            for p in _integer_roots(k * c, k * (c + a + a1) - 2 * ak, ak * (a + 1) - k * (a + a1))
+        solve=lambda g: [
+            (g.h, g.k, 0, p, 0)
+            for p in _integer_roots(
+                g.k * g.c,
+                g.k * (g.c + g.a + g.a1) - 2 * g.ak,
+                g.ak * (g.a + 1) - g.k * (g.a + g.a1),
+            )
         ],
         # Stricter than the stated r > -h(sigma+1)-1: the fast path has no
         # table, and members with r < -h*sigma violate the pivot hypothesis.
-        fast_guard=lambda r, h, sigma, **_: r >= -h * sigma,
+        fast_guard=lambda h, k, sigma, p, r: r >= -h * sigma,
     ),
     Family(
         id="Thm5.4-(i)",
         symmetric=False,
-        keys=("l", "sigma", "p", "r"),
+        params=("h", "k", "l", "sigma", "p", "r"),
         read=lambda piv, nxt: (piv.rho - 2, piv.sigma, nxt.p, nxt.r),
-        t_formula=lambda l, **_: l + 1,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + sigma * ak + (p - 1) * c - a,
-        requires=(_H1, lambda k, **_: None if k >= 4 else f"requires k >= 4, got {k}"),
-        conditions=(
-            _SIGMA1,
-            lambda l, k, **_: None if 1 <= l <= k - 3 else f"need 1 <= l <= k-3, got l={l}",
-            _P2,
-            lambda r, **_: None if r <= -2 else f"need r <= -2, got {r}",
+        t_formula=lambda g, l, *_: l + 1,
+        f_formula=lambda g, l, sigma, p, r: g.a1 + sigma * g.ak + (p - 1) * g.c - g.a,
+        requires=(_H1, lambda h, k, d: None if k >= 4 else f"requires k >= 4, got {k}"),
+        conditions=lambda h, k, l, sigma, p, r: (
+            _SIGMA1(sigma)
+            or (None if 1 <= l <= k - 3 else f"need 1 <= l <= k-3, got l={l}")
+            or _P2(p)
+            or (None if r <= -2 else f"need r <= -2, got {r}")
         ),
-        synthesize=lambda k, l, sigma, p, r, **_: (
+        synthesize=lambda h, k, l, sigma, p, r: (
             (sigma * k + l + 2) * p - l * (p - 1),
             -p * sigma - (p - 1) * r,
             -l * sigma - (sigma * k + l + 2) * r,
         ),
-        solve=lambda a, d, k, c, ak, **_: [
-            {"l": l, "p": p}
-            for l in range(1, k - 2)
-            for p in _integer_roots(k * c, k * (c + (l + 2) * d) - 2 * ak, ak * (a - l))
+        solve=lambda g: [
+            (g.h, g.k, l, 0, p, 0)
+            for l in range(1, g.k - 2)
+            for p in _integer_roots(
+                g.k * g.c, g.k * (g.c + (l + 2) * g.d) - 2 * g.ak, g.ak * (g.a - l)
+            )
         ],
     ),
     Family(
         id="Thm5.4-(ii)",
         symmetric=False,
-        keys=("sigma", "p", "r"),
+        params=("h", "k", "sigma", "p", "r"),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
-        t_formula=lambda k, **_: k - 1,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
+        t_formula=lambda g, *_: g.k - 1,
+        f_formula=lambda g, sigma, p, r: g.a1 + (sigma - 1) * g.ak + (p - 1) * g.c - g.a,
         requires=(_H_POSITIVE, _K3),
-        conditions=(_SIGMA2, _P2, _R_BELOW_H),
-        synthesize=lambda h, k, sigma, p, r, **_: (
+        conditions=lambda h, k, sigma, p, r: _SIGMA2(sigma) or _P2(p) or _R_BELOW_H(h, r),
+        synthesize=lambda h, k, sigma, p, r: (
             sigma * k * p - (k - 2) * (p - 1),
             (1 - h * sigma) * p - (p - 1) * r,
             (k - 2) * (1 - h * sigma) - sigma * k * r,
         ),
         h_default=None,
-        solve=lambda a, k, c, ak, **_: [
-            {"p": p} for p in _integer_roots(k * c, k * (c - a + ak) - 2 * ak, ak * (a - k + 2))
+        solve=lambda g: [
+            (g.h, g.k, 0, p, 0)
+            for p in _integer_roots(
+                g.k * g.c, g.k * (g.c - g.a + g.ak) - 2 * g.ak, g.ak * (g.a - g.k + 2)
+            )
         ],
     ),
     Family(
         id="Thm5.4-(iii)",
         symmetric=False,
-        keys=("sigma", "p", "r"),
+        params=("h", "k", "sigma", "p", "r"),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
-        t_formula=lambda k, **_: k,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 1) * ak + (p - 1) * c - a,
+        t_formula=lambda g, *_: g.k,
+        f_formula=lambda g, sigma, p, r: g.a1 + (sigma - 1) * g.ak + (p - 1) * g.c - g.a,
         requires=(_H_POSITIVE, _K3),
-        conditions=(_SIGMA1, _P2, _R_BELOW_H),
-        synthesize=lambda h, k, sigma, p, r, **_: (
+        conditions=lambda h, k, sigma, p, r: _SIGMA1(sigma) or _P2(p) or _R_BELOW_H(h, r),
+        synthesize=lambda h, k, sigma, p, r: (
             (sigma * k + 1) * p - (k - 1) * (p - 1),
             (1 - h * sigma) * p - (p - 1) * r,
             (k - 1) * (1 - h * sigma) - (sigma * k + 1) * r,
         ),
         h_default=None,
-        solve=lambda a, d, k, c, ak, **_: [
-            {"p": p}
-            for p in _integer_roots(k * c, k * (c + d - a + ak) - 2 * ak, ak * (a - k + 1))
+        solve=lambda g: [
+            (g.h, g.k, 0, p, 0)
+            for p in _integer_roots(
+                g.k * g.c, g.k * (g.c + g.d - g.a + g.ak) - 2 * g.ak, g.ak * (g.a - g.k + 1)
+            )
         ],
     ),
     Family(
         # a alone pins p.
         id="Thm5.4-(iv)",
         symmetric=False,
-        keys=("p", "r"),
+        params=("h", "k", "p", "r"),
         read=lambda piv, nxt: (piv.p, nxt.r),
-        t_formula=lambda k, **_: k + 1,
-        f_formula=lambda a, c, p, **_: p * c - a,
+        t_formula=lambda g, *_: g.k + 1,
+        f_formula=lambda g, p, r: p * g.c - g.a,
         requires=(_H1, _K3),
-        conditions=(
-            lambda p, **_: None if p >= 1 else f"p must be >= 1, got {p}",
-            lambda r, **_: None if r < -1 else f"need r < -1, got {r}",
+        conditions=lambda h, k, p, r: (
+            (None if p >= 1 else f"p must be >= 1, got {p}")
+            or (None if r < -1 else f"need r < -1, got {r}")
         ),
-        synthesize=lambda k, p, r, **_: (k + p + 1, -(p + 1) - p * r, -k - (k + 1) * r),
-        solve=lambda a, k, **_: [{"p": a - k - 1}],
+        synthesize=lambda h, k, p, r: (k + p + 1, -(p + 1) - p * r, -k - (k + 1) * r),
+        solve=lambda g: [(g.h, g.k, g.a - g.k - 1, 0)],
     ),
     Family(
         id="Thm5.4-(v)",
         symmetric=False,
-        keys=("sigma", "p", "r"),
+        params=("h", "k", "sigma", "p", "r"),
         read=lambda piv, nxt: (piv.sigma, nxt.p, nxt.r),
-        t_formula=lambda **_: 2,
-        f_formula=lambda a, a1, ak, c, sigma, p, **_: a1 + (sigma - 2) * ak + (p - 1) * c - a,
+        t_formula=lambda g, *_: 2,
+        f_formula=lambda g, sigma, p, r: g.a1 + (sigma - 2) * g.ak + (p - 1) * g.c - g.a,
         requires=(_H1, _K3),
-        conditions=(
-            _SIGMA2,
-            _P2,
-            lambda r, **_: None if r <= -3 else f"need r <= -3, got {r}",
+        conditions=lambda h, k, sigma, p, r: (
+            _SIGMA2(sigma) or _P2(p) or (None if r <= -3 else f"need r <= -3, got {r}")
         ),
-        synthesize=lambda k, sigma, p, r, **_: (
+        synthesize=lambda h, k, sigma, p, r: (
             (sigma * k + 1) * p - (2 * k - 1) * (p - 1),
             -p * sigma - (p - 1) * r,
             -sigma * (2 * k - 1) - (sigma * k + 1) * r,
         ),
-        solve=lambda a, d, k, c, ak, **_: [
-            {"p": p}
-            for p in _integer_roots(k * c, k * (c + d + 2 * ak) - 2 * ak, ak * (a - 2 * k + 1))
+        solve=lambda g: [
+            (g.h, g.k, 0, p, 0)
+            for p in _integer_roots(
+                g.k * g.c, g.k * (g.c + g.d + 2 * g.ak) - 2 * g.ak, g.ak * (g.a - 2 * g.k + 1)
+            )
         ],
     ),
 )
@@ -517,27 +516,20 @@ def _family(family: str) -> Family:
         raise FamilyConstraintViolated(f"unknown family id {family!r}") from None
 
 
-def _variables(p: AagParams) -> dict[str, int]:
+def _variables(p: AagParams) -> _Presentation:
     """The presentation variables every family formula may read."""
     a, d, h, k = p.a, p.d, p.h, p.k
-    return {
-        "a": a,
-        "d": d,
-        "h": h,
-        "k": k,
-        "c": p.c,
-        "a1": h * a + d,
-        "a2": h * a + 2 * d,
-        "ak": h * a + k * d,
-    }
+    return _Presentation(a, d, h, k, p.c, h * a + d, h * a + 2 * d, h * a + k * d)
 
 
-def _is_member(fam: Family, v: dict[str, int]) -> bool:
-    """Whether ``v`` -- presentation variables and family parameters --
-    names a member of ``fam``: the synthesis gives back ``v``'s (a, d, c),
+def _is_member(fam: Family, v: Sequence[int], shape: tuple[int, int, int], target: tuple) -> bool:
+    """Whether the values ``v`` of ``fam.params`` name a member with shape
+    (h, k, d) and ``target`` (a, d, c): the synthesis gives back ``target``,
     which settles most candidates, and the stated side conditions hold."""
-    return fam.synthesize(**v) == (v["a"], v["d"], v["c"]) and not any(
-        violation(**v) for violation in (*fam.requires, *fam.conditions)
+    return (
+        fam.synthesize(*v) == target
+        and fam.conditions(*v) is None
+        and not any(violation(*shape) for violation in fam.requires)
     )
 
 
@@ -546,19 +538,20 @@ def match_families(
 ) -> list[tuple[str, dict[str, int]]]:
     """The families among ``candidates`` that ``p`` is a member of, with the
     parameters read off its pivot rows, in canonical order."""
-    env = _variables(p)
+    shape, target = (p.h, p.k, p.d), (p.a, p.d, p.c)
     hits = []
     for family in candidates:
         fam = _family(family)
-        solved = dict(zip(fam.keys, fam.read(t.pivot, t.after_pivot)))
-        if _is_member(fam, {**env, **solved}):
-            hits.append((family, solved))
+        values = fam.read(t.pivot, t.after_pivot)
+        if _is_member(fam, shape[: len(fam.params) - len(values)] + values, shape, target):
+            hits.append((family, dict(zip(fam.keys, values))))
     return hits
 
 
 def family_type(family: str, solved: dict[str, int], p: AagParams) -> int:
     """The family's claimed type, from its closed-form t-formula."""
-    return _family(family).t_formula(**{**solved, **_variables(p)})
+    fam = _family(family)
+    return fam.t_formula(_variables(p), *(solved[name] for name in fam.keys))
 
 
 def family_frobenius(family: str, solved: dict[str, int], p: AagParams) -> int:
@@ -568,16 +561,17 @@ def family_frobenius(family: str, solved: dict[str, int], p: AagParams) -> int:
     monomial minus ``a`` (with the two special literal forms ``F = k d`` and
     ``F = 3 a_1 - 2 a_2 - a_k`` kept as stated for their families).
     """
-    return _family(family).f_formula(**{**solved, **_variables(p)})
+    fam = _family(family)
+    return fam.f_formula(_variables(p), *(solved[name] for name in fam.keys))
 
 
 def family_generate(family: str, params: dict[str, int]) -> AagParams:
     """Construct a validated parameter tuple from a family's formulas.
 
-    ``params`` uses the same keys as ``Classification.solved`` plus ``h``
-    and ``k`` where the family does not pin them.  Side conditions are the
-    families' stated ones; violations raise ``FamilyConstraintViolated``.
-    A synthesized (a, d, c) can still fail validation (gcd, minimality,
+    ``params`` holds exactly the family's ``Family.params`` (``h`` is 1 by
+    default where the family pins it).  A missing or unknown key and a
+    violated stated side condition raise ``FamilyConstraintViolated``.  A
+    synthesized (a, d, c) can still fail validation (gcd, minimality,
     d = 0) -- those errors propagate so callers can report them.
 
     The family conclusions hold only under the package's standing
@@ -587,18 +581,19 @@ def family_generate(family: str, params: dict[str, int]) -> AagParams:
     genuinely fail on some tuples outside it).
     """
     fam = _family(family)
-    v = dict(params) if fam.h_default is None else {"h": fam.h_default, **params}
-    # Each callable names the variables it reads and takes the rest as ``**_``.
-    reads = (*fam.requires, *fam.conditions, fam.synthesize)
-    missing = {name for fn in reads for name in inspect.signature(fn).parameters} - {"_", *v}
-    if missing:
-        raise FamilyConstraintViolated(f"{family}: missing {', '.join(sorted(missing))}")
-    for violation in (*fam.requires, *fam.conditions):
-        message = violation(**v)
-        if message is not None:
-            raise FamilyConstraintViolated(f"{family}: {message}")
-    a, d, c = fam.synthesize(**v)
-    out = validate_params(a, d, v["h"], v["k"], c, normalize=False)
+    given = dict(params) if fam.h_default is None else {"h": fam.h_default, **params}
+    missing, unknown = set(fam.params) - set(given), set(given) - set(fam.params)
+    for problem, names in (("missing", missing), ("unknown", unknown)):
+        if names:
+            raise FamilyConstraintViolated(f"{family}: {problem} {', '.join(sorted(names))}")
+    v = tuple(given[name] for name in fam.params)
+    h, k = given["h"], given["k"]
+    # ``requires`` reads the member's d, which only Thm5.1 is given.
+    a, d, c = fam.synthesize(*v)
+    message = next(filter(None, (check(h, k, d) for check in fam.requires)), None)
+    if (message := message or fam.conditions(*v)) is not None:
+        raise FamilyConstraintViolated(f"{family}: {message}")
+    out = validate_params(a, d, h, k, c, normalize=False)
     if not build_table(out).hypothesis_ok:
         raise FamilyConstraintViolated(
             f"{family}: parameters {params} synthesize a table that violates "
@@ -668,37 +663,44 @@ def classify(p: AagParams, t: EuclidTable | None = None) -> Classification:
 # ---------------------------------------------------------------------------
 
 
-def _affine_root(fam: Family, v: dict, key: str, i: int, target: int) -> int | None:
-    """Exact ``v[key]`` with ``fam.synthesize(**v)[i] == target``, or None.
-
-    The synthesized component is affine in ``v[key]``, so its values at 0
-    and 1 give the intercept and the slope.
-    """
-    at0 = fam.synthesize(**{**v, key: 0})[i]
-    slope = fam.synthesize(**{**v, key: 1})[i] - at0
-    if slope == 0 or (target - at0) % slope:
-        return None
-    return (target - at0) // slope
+@functools.lru_cache(maxsize=1024)
+def _admissible(h: int, k: int, d: int) -> tuple[Family, ...]:
+    """The almost-symmetric families whose ``requires`` all hold at the
+    shape (h, k, d), in registry order; ``requires`` reads nothing else."""
+    admitted = (fam for fam in FAMILIES if not any(check(h, k, d) for check in fam.requires))
+    return tuple(fam for fam in admitted if fam.solve is not None)
 
 
-def _members(fam: Family, env: dict[str, int]) -> list[dict[str, int]]:
-    """Solved parameters of every member of ``fam`` with this presentation
-    (the caller has checked ``fam.requires`` on it)."""
-    hits = []
-    for pinned in fam.solve(**env):
-        # a does not depend on r: any r will do while sigma is solved.
-        v = {**env, "r": 0, **pinned}
-        if "sigma" in fam.keys:
-            v["sigma"] = _affine_root(fam, v, "sigma", 0, env["a"])
-            if v["sigma"] is None:
-                continue
-        if "r" in fam.keys:
-            v["r"] = _affine_root(fam, v, "r", 1, env["d"])
-            if v["r"] is None:
-                continue
-        if _is_member(fam, v) and (fam.fast_guard is None or fam.fast_guard(**v)):
-            hits.append({key: v[key] for key in fam.keys})
-    return hits
+@functools.lru_cache(maxsize=1024)
+def _slopes(fam: Family, v: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """``(a0, d0, a_sigma, d_sigma, d_r)``: a = a0 + a_sigma*sigma and
+    d = d0 + d_sigma*sigma + d_r*r around the ``solve`` candidate ``v``
+    (sigma and r at 0), from its synthesis and one unit step along each."""
+    a0, d0, _ = fam.synthesize(*v)
+    a_sigma = d_sigma = d_r = 0
+    if fam.sigma_at is not None:
+        a1, d1, _ = fam.synthesize(*v[: fam.sigma_at], 1, *v[fam.sigma_at + 1 :])
+        a_sigma, d_sigma = a1 - a0, d1 - d0
+    if fam.r_at is not None:
+        d_r = fam.synthesize(*v[: fam.r_at], 1, *v[fam.r_at + 1 :])[1] - d0
+    return a0, d0, a_sigma, d_sigma, d_r
+
+
+def _back_solve(fam: Family, v: tuple[int, ...], a: int, d: int) -> list[int] | None:
+    """The ``solve`` candidate ``v`` with sigma and r set so that it
+    synthesizes ``a`` and ``d``, or None when no integers do."""
+    a0, d0, a_sigma, d_sigma, d_r = _slopes(fam, v)
+    v = list(v)
+    if fam.sigma_at is not None:
+        if a_sigma == 0 or (a - a0) % a_sigma:
+            return None
+        v[fam.sigma_at] = sigma = (a - a0) // a_sigma
+        d0 += sigma * d_sigma
+    if fam.r_at is not None:
+        if d_r == 0 or (d - d0) % d_r:
+            return None
+        v[fam.r_at] = (d - d0) // d_r
+    return v
 
 
 def fast_path(p: AagParams) -> Classification | None:
@@ -713,31 +715,29 @@ def fast_path(p: AagParams) -> Classification | None:
     p = _raw_presentation(p)
     if p.k < 3:
         return None
-    # ``requires`` reads only h, k and d, so the presentation settles it
-    # once per call, before any solve.
-    shape = {"h": p.h, "k": p.k, "d": p.d}
-    env = _variables(p)
-    hits = [
-        (fam, solved)
-        for fam in FAMILIES
-        if fam.solve is not None and not any(violation(**shape) for violation in fam.requires)
-        for solved in _members(fam, env)
-    ]
+    g = _variables(p)
+    shape, target = (p.h, p.k, p.d), (p.a, p.d, p.c)
+    hits = []
+    for fam in _admissible(p.h, p.k, p.d):
+        for v in fam.solve(g):
+            v = _back_solve(fam, v, p.a, p.d)
+            if v is not None and _is_member(fam, v, shape, target) and fam.fast_guard(*v):
+                hits.append((fam, v[len(v) - len(fam.keys) :]))
     if not hits:
         return None
     if len(hits) > 1:
-        described = "; ".join(f"{fam.id} with {solved}" for fam, solved in hits)
+        described = "; ".join(f"{f.id} with {dict(zip(f.keys, vs))}" for f, vs in hits)
         raise AmbiguousFastPath(
             f"multiple families consistent for a={p.a}, d={p.d}, h={p.h}, "
             f"k={p.k}, c={p.c}: {described}"
         )
-    fam, solved = hits[0]
+    fam, values = hits[0]
     return Classification(
         verdict=VERDICT_ALMOST_SYMMETRIC,
         family=fam.id,
-        solved=solved,
-        type=family_type(fam.id, solved, p),
-        frobenius=family_frobenius(fam.id, solved, p),
+        solved=dict(zip(fam.keys, values)),
+        type=fam.t_formula(g, *values),
+        frobenius=fam.f_formula(g, *values),
         fast_path_used=True,
     )
 

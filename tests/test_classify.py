@@ -157,6 +157,11 @@ _MEMBER_GRID = {
 }
 
 
+def _step(v, at, by):
+    """``v`` with its entry ``at`` moved by ``by``."""
+    return (*v[:at], v[at] + by, *v[at + 1 :])
+
+
 def _generated_members():
     """(family id, raw tuple) for every ``family_generate`` member whose
     parameters lie in ``_MEMBER_GRID``."""
@@ -205,12 +210,47 @@ class TestRegistry:
             assert (fam.solve is None) == fam.symmetric, fam.id
 
     def test_requires_reads_only_h_k_and_d(self):
-        # fast_path settles ``requires`` on these three before any solve.
-        others = {"a": 155, "c": 177, "a1": 621, "a2": 622, "ak": 640}
+        # fast_path settles ``requires`` once per (h, k, d) shape: each
+        # condition takes exactly those three, positionally.
         for fam in FAMILIES:
             for h, k, d in product((1, 2, 3), (2, 3, 4, 5), (-2, 1, 2)):
                 for violation in fam.requires:
-                    assert violation(h=h, k=k, d=d) == violation(h=h, k=k, d=d, **others)
+                    message = violation(h, k, d)
+                    assert message is None or isinstance(message, str)
+
+    def test_admissible_families_are_those_whose_requires_pass(self):
+        for h, k, d in product(range(1, 6), range(1, 26), (*range(-9, 0), *range(1, 10))):
+            expected = tuple(
+                fam
+                for fam in FAMILIES
+                if not fam.symmetric and all(check(h, k, d) is None for check in fam.requires)
+            )
+            assert classify_module._admissible(h, k, d) == expected, (h, k, d)
+
+    def test_back_solve_slopes_are_the_first_differences(self):
+        # The fast path reads each candidate's slopes once, at sigma = r = 0:
+        # sound while a is affine in sigma and free of r and d is affine in
+        # both, everywhere on the grid.
+        rng = random.Random(31)
+        for fam in FAMILIES:
+            slots = [at for at in (fam.sigma_at, fam.r_at) if at is not None]
+            if not slots:
+                continue
+            points = list(product(*(_MEMBER_GRID[name] for name in fam.params)))
+            for v in rng.sample(points, min(len(points), 300)):
+                origin = tuple(0 if i in slots else x for i, x in enumerate(v))
+                a0, d0, a_sigma, d_sigma, d_r = classify_module._slopes(fam, origin)
+                sigma = v[fam.sigma_at] if fam.sigma_at is not None else 0
+                r = v[fam.r_at] if fam.r_at is not None else 0
+                a, d, _ = fam.synthesize(*v)
+                assert (a, d) == (a0 + a_sigma * sigma, d0 + d_sigma * sigma + d_r * r), (fam.id, v)
+                for at, slopes in ((fam.sigma_at, (a_sigma, d_sigma)), (fam.r_at, (0, d_r))):
+                    if at is None:
+                        continue
+                    steps = [fam.synthesize(*_step(v, at, n))[:2] for n in (1, 2)]
+                    (a1, d1), (a2, d2) = steps
+                    assert (a2 - 2 * a1 + a, d2 - 2 * d1 + d) == (0, 0), (fam.id, v, at)
+                    assert (a1 - a, d1 - d) == slopes, (fam.id, v, at)
 
 
 class TestRawPresentation:
@@ -493,6 +533,10 @@ class TestFamilyGenerateConstraints:
             ("Thm5.2", {"k": 3}, "missing h, p, sigma$"),
             ("Thm5.4-(iv)", {"k": 3, "p": 2}, "missing r$"),
             ("Thm5.1", {"k": 3}, "missing d$"),
+            ("Thm5.1", {"k": 3, "d": 2, "sigma": 9, "r_hat": -7}, "unknown r_hat, sigma$"),
+            ("Thm4.1-case3",
+             {"h": 1, "k": 3, "sigma": 2, "p": 1, "p_prime": 2, "r": -1, "l": 1},
+             "unknown l$"),
         ],
     )
     def test_stated_constraints_enforced(self, family, params, fragment):
